@@ -425,8 +425,7 @@ let characterization _ctx =
 
 let engines ctx =
   section "engines"
-    "simulation-engine throughput on the fuzz corpus (cycle vs event vs \
-     compiled)";
+    "simulation-engine throughput on the fuzz corpus (cycle vs compiled)";
   let module F = Finepar_fuzz in
   match
     List.find_opt Sys.file_exists [ "test/fuzz_corpus"; "fuzz_corpus" ]
@@ -483,9 +482,9 @@ let engines ctx =
       done;
       (!best, !cycles)
     in
-    (* One row per engine, all measured in this one run; every non-cycle
-       engine gets a speedup over the reference stepper's rate, and all
-       engines must simulate the identical cycle total (cycle-exactness
+    (* One row per engine, both measured in this one run; the compiled
+       engine gets a speedup over the reference stepper's rate, and the
+       two must simulate the identical cycle total (cycle-exactness
        leaves nothing else to agree on here). *)
     let rows =
       List.map

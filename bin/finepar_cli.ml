@@ -91,11 +91,10 @@ let engine_conv =
 
 let engine_arg =
   let doc =
-    "Simulation engine: $(b,cycle) (the reference stepper), $(b,event) \
-     (event-driven fast-forward) or $(b,compiled) (per-core programs \
-     pre-specialized to closure arrays, driven by the same fast-forward).  \
-     All three are cycle-exact to each other; $(b,event) is faster on \
-     latency-dominated runs and $(b,compiled) is fastest overall."
+    "Simulation engine: $(b,cycle) (the reference stepper) or \
+     $(b,compiled) (per-core programs pre-specialized to closure arrays, \
+     fast-forwarding cycles in which nothing can issue).  The two are \
+     cycle-exact to each other; $(b,compiled) is faster."
   in
   Arg.(
     value
@@ -834,11 +833,10 @@ let fuzz_cmd =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc)
   in
   let replay_via ~engine via dir =
-    (* Cache-backed replay: each reproducer becomes one run request, so
-       a cross-engine replay of the same corpus reuses the compile half
-       of the pipeline (one group per (kernel, config) serves every
-       engine), and a repeated replay is answered entirely from the
-       store.  Bit-exactness vs the reference evaluator is checked on
+    (* Cache-backed replay: each reproducer becomes one run request.
+       The engine is not part of the store key, so a repeated replay —
+       under either engine — is answered entirely from the store.
+       Bit-exactness vs the reference evaluator is checked on
        every fresh computation; this path does not re-run the other
        oracles (determinism, telemetry invariants) — the default replay
        does. *)
@@ -1427,21 +1425,14 @@ let request_cmd =
   let emit_arg =
     let doc =
       "Instead of executing, write a batch request file covering the \
-       kernel registry (and, with --corpus, the fuzz corpus) crossed \
-       with --engines, and exit."
+       kernel registry (and, with --corpus, the fuzz corpus), one run \
+       request per job under the default engine, and exit."
     in
     Arg.(value & flag & info [ "emit" ] ~doc)
   in
-  let engines_arg =
-    let doc = "Comma-separated engines for --emit (default: all three)." in
-    Arg.(
-      value
-      & opt (list engine_conv) Finepar_machine.Engine.all
-      & info [ "engines" ] ~doc)
-  in
   let corpus_arg =
     let doc = "Also emit one run request per fuzz reproducer in this \
-               directory (crossed with --engines)."
+               directory."
     in
     Arg.(value & opt (some string) None & info [ "corpus" ] ~doc ~docv:"DIR")
   in
@@ -1455,22 +1446,18 @@ let request_cmd =
     let doc = "Print cache hit/miss counters to stderr after executing." in
     Arg.(value & flag & info [ "stats" ] ~doc)
   in
-  let emit ~engines ~cores ~latency ~queue_len ~corpus output =
+  let emit ~cores ~latency ~queue_len ~corpus output =
     let machine = machine_of ~latency ~queue_len () in
     let config = { (Compiler.default_config ~cores ()) with Compiler.machine } in
+    let run job = Wire.Run { job; engine = Finepar_machine.Engine.default } in
     let registry_reqs =
-      List.concat_map
-        (fun (e : Registry.entry) ->
-          List.map
-            (fun engine -> Wire.Run { job = registry_job ~config e; engine })
-            engines)
-        Registry.all
+      List.map (fun e -> run (registry_job ~config e)) Registry.all
     in
     let corpus_reqs =
       match corpus with
       | None -> []
       | Some dir ->
-        List.concat_map
+        List.map
           (fun path ->
             let entry = Finepar_fuzz.Corpus.load_file path in
             let case = entry.Finepar_fuzz.Corpus.case in
@@ -1484,7 +1471,7 @@ let request_cmd =
                 profile_counters = [];
               }
             in
-            List.map (fun engine -> Wire.Run { job; engine }) engines)
+            run job)
           (Finepar_fuzz.Corpus.files dir)
     in
     let batch = Wire.batch_to_string (registry_reqs @ corpus_reqs) in
@@ -1533,9 +1520,8 @@ let request_cmd =
         output_char oc '\n');
     if stats then pp_cache_counters (counters ())
   in
-  let run file emit_flag engines corpus via jobs stats cores latency queue_len
-      output =
-    if emit_flag then emit ~engines ~cores ~latency ~queue_len ~corpus output
+  let run file emit_flag corpus via jobs stats cores latency queue_len output =
+    if emit_flag then emit ~cores ~latency ~queue_len ~corpus output
     else
       match via with
       | Some via -> execute ~via ~jobs ~stats file output
@@ -1551,7 +1537,7 @@ let request_cmd =
           written verbatim, so identical batches produce byte-identical \
           files, cached or not) — or generate such a file with --emit")
     Term.(
-      const run $ file_arg $ emit_arg $ engines_arg $ corpus_arg $ via_arg
+      const run $ file_arg $ emit_arg $ corpus_arg $ via_arg
       $ jobs_arg $ stats_arg $ cores_arg $ latency_arg $ queue_len_arg
       $ output_arg)
 

@@ -48,7 +48,7 @@ let run_with_sim ?(check = true) ?(workload = []) ?core_map ?tracing
             Some
               (Finepar_telemetry.Tracer.with_span ~cat:"pass" "specialize"
                  (fun () -> Sim.specialize sim))
-          | Some (Engine.Cycle | Engine.Event) | None -> None
+          | Some Engine.Cycle | None -> None
         in
         let cycles = Sim.run ?engine ?specialized sim in
         Finepar_telemetry.Tracer.set_arg "cycles"

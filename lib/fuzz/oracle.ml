@@ -12,10 +12,9 @@
       [cycles * threads], and queue occupancy respects capacity;
     - {b determinism}: a second run of the same compiled program on the
       same workload reproduces the cycle count and outputs;
-    - {b cross-engine}: every other simulation engine (cycle stepper,
-      event-driven fast-forward, compiled — {!Finepar_machine.Engine})
-      reproduces the cycle count, the architectural outputs, and the
-      full telemetry report;
+    - {b cross-engine}: the other simulation engine (cycle stepper or
+      compiled — {!Finepar_machine.Engine}) reproduces the cycle count,
+      the architectural outputs, and the full telemetry report;
     - {b cross-core agreement}: the same kernel compiled for one core
       produces the same observable results.
 
@@ -166,12 +165,11 @@ let check ?(compile : compile_fn = Finepar.Compiler.compile)
             not (Eval.result_equal run1.Finepar.Runner.result run2.Finepar.Runner.result)
           then fail "determinism" "results differ across identical runs"
           else (
-            (* Cross-engine: every other engine must be cycle-exact —
+            (* Cross-engine: the other engine must be cycle-exact —
                same cycle count, same architectural outputs, same
                telemetry report (the report JSON covers every counter
-               and histogram).  With three engines each case checks the
-               two it did not run under, so the three-way matrix closes
-               whatever engine the campaign selected. *)
+               and histogram) — whichever engine the campaign
+               selected. *)
             let cross_engine_failure other =
               match
                 Finepar.Runner.run ~check:false ~workload ~core_map

@@ -1,7 +1,7 @@
 (** The differential oracle set: static-verifier acceptance,
     bit-exactness against the reference evaluator, telemetry
     invariants, run-to-run determinism, cross-engine cycle-exactness
-    (cycle stepper vs event-driven fast-forward), and cross-core-count
+    (cycle stepper vs compiled engine), and cross-core-count
     agreement of observable results.
 
     Failure oracle names: "well-formed", "verifier", "compiler-crash",
@@ -31,7 +31,7 @@ val check :
     defaults to {!Finepar.Compiler.compile} and exists so tests can
     inject deliberate miscompiles.  [engine] selects the primary
     simulation engine (default {!Finepar_machine.Engine.default}); the
-    cross-engine oracle always runs every other engine and demands
+    cross-engine oracle always runs the other engine and demands
     identical cycles, outputs, and telemetry. *)
 
 val pp_failure : Format.formatter -> failure -> unit

@@ -1,46 +1,22 @@
-(** Simulation engine selection, plus the pure scheduling math behind the
-    event-driven engine (see the implementation header for the quiescence
-    theorem that makes bulk stall crediting cycle-exact). *)
+(** Simulation engine selection. *)
 
 type t =
   | Cycle  (** the reference stepper: every core, every cycle *)
-  | Event
-      (** event-driven fast-forward: jump to the next cycle any core's
-          state can change, bulk-crediting the skipped cycles.
-          Cycle-exact with {!Cycle} by contract: identical cycle counts,
-          architectural outputs, telemetry reports and [Stuck] payloads. *)
   | Compiled
       (** pre-compiled stepping: each core's program is specialized once
           into a flat array of closures (operands resolved to scoreboard
-          slots, latencies, branch targets and queue endpoints baked in),
-          then driven with the same quiescent fast-forward as {!Event}.
-          Bound by the same cycle-exactness contract as {!Event}. *)
+          slots, latencies, branch targets and queue endpoints baked in);
+          a cycle in which nothing issues fast-forwards to the next cycle
+          any core's state can change, bulk-crediting the skipped cycles.
+          Cycle-exact with {!Cycle} by contract: identical cycle counts,
+          architectural outputs, telemetry reports and [Stuck]
+          payloads. *)
 
 val default : t
 (** {!Cycle}, the reference semantics. *)
 
 val all : t list
+(** [[Cycle; Compiled]]: the reference first. *)
+
 val to_string : t -> string
 val of_string : string -> t option
-
-(** {2 Scheduling math} *)
-
-type gate =
-  | Free  (** issues at [max min_issue operands_at] *)
-  | Head_at of int  (** dequeue head becomes visible at this cycle *)
-  | External  (** waiting on another core's issue; no self-wake *)
-
-type profile = { pr_min_issue : int; pr_operands_at : int; pr_gate : gate }
-
-type wake = Never | At of int
-
-val wake : profile -> wake
-(** Earliest cycle the core's issue conditions can change without another
-    core acting; [Never] for {!External} gates. *)
-
-val min_wake : wake -> wake -> wake
-
-val segments : profile -> from:int -> until:int -> int * int * int
-(** [(branch_wait, operand_stall, queue_stall)] cycle counts for the
-    quiescent window [\[from, until)]; requires [until <= wake profile].
-    The counts sum to [until - from]. *)

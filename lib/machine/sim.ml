@@ -650,13 +650,13 @@ let () =
 
 (* No core issued for [queue length * transfer latency + slack]
    consecutive cycles => deadlock.  Both engines use the same window, and
-   the event engine's fast-forward jumps never cross the resulting
+   the compiled engine's fast-forward jumps never cross the resulting
    deadline, so Stuck payloads are identical. *)
 let deadlock_window t =
   (t.config.Config.queue_len * max 1 t.config.Config.transfer_latency)
   + t.config.Config.mem_latency + 1000
 
-(** One simulated cycle, shared verbatim by both engines: SMT round-robin
+(** One simulated cycle of the reference stepper: SMT round-robin
     arbitration with issue attempts, then classification of the cores
     that never got an attempt.  [step_core] accounts every attempted core
     (issue or stall counter); the second pass classifies the rest, so
@@ -736,151 +736,6 @@ let run_cycle t =
   t.cycles <- !cy;
   !cy
 
-(* A blocked core's issue conditions, read off the frozen machine state
-   at the end of a quiescent cycle (mirrors the checks in [step_core] and
-   [wait_of]).  A core whose pc ran off its code profiles as [Free] with
-   no operand wait: the engine then jumps to its [min_issue], where
-   [step_core] raises the same fault the stepper would. *)
-let profile_of t core =
-  let prog = t.program.Program.cores.(core) in
-  let pc = t.pc.(core) in
-  let min_issue = t.min_issue.(core) in
-  if pc >= Array.length prog.Program.code then
-    { Engine.pr_min_issue = min_issue; pr_operands_at = 0; pr_gate = Engine.Free }
-  else
-    let instr = prog.Program.code.(pc) in
-    let ready = t.reg_ready.(core) in
-    let operands_at =
-      List.fold_left (fun acc r -> max acc ready.(r)) 0 (Isa.srcs instr)
-    in
-    let gate =
-      match instr with
-      | Isa.Enq (q, _)
-        when Queue.length t.queues.(q).items >= t.config.Config.queue_len ->
-        Engine.External
-      | Isa.Deq (_, q) -> (
-        match Queue.peek_opt t.queues.(q).items with
-        | Some (_, visible_at) -> Engine.Head_at visible_at
-        | None -> Engine.External)
-      | _ -> Engine.Free
-    in
-    { Engine.pr_min_issue = min_issue; pr_operands_at = operands_at; pr_gate = gate }
-
-(* [count] consecutive cycles blocked on [reason], starting at
-   [first_cycle]: exactly [note_stall] applied [count] times — per-class
-   counter, stall-episode run, per-fiber attribution, and (when tracing)
-   one [Ev_stall] per skipped cycle so traces carry the same events. *)
-let bulk_stall t core ~pc ~reason ~count ~first_cycle =
-  let stats = t.stats.(core) in
-  (match reason with
-  | Telemetry.Stall.Operand ->
-    stats.stall_operand <- stats.stall_operand + count
-  | Telemetry.Stall.Queue_full _ ->
-    stats.stall_queue_full <- stats.stall_queue_full + count
-  | Telemetry.Stall.Queue_empty _ ->
-    stats.stall_queue_empty <- stats.stall_queue_empty + count);
-  let cls = Telemetry.Stall.class_index reason in
-  if t.stall_run_class.(core) = cls then
-    t.stall_run_len.(core) <- t.stall_run_len.(core) + count
-  else begin
-    flush_stall_run t core;
-    t.stall_run_class.(core) <- cls;
-    t.stall_run_len.(core) <- count
-  end;
-  let slot = fiber_slot t core pc in
-  t.fiber_stall.(slot) <- t.fiber_stall.(slot) + count;
-  if t.tracing then
-    for i = 0 to count - 1 do
-      Telemetry.Ring.push t.trace
-        (Ev_stall { core; cycle = first_cycle + i; pc; reason })
-    done
-
-(* Credit the quiescent window [from, until) to every core, exactly as
-   the stepper would have: idle for halted cores; otherwise the
-   branch-wait / operand-stall / queue-stall split of [Engine.segments]
-   (sound because the caller guarantees [until <= wake] for every
-   non-halted core). *)
-let credit_quiescent t ~from ~until =
-  if until > from then
-    for core = 0 to Array.length t.program.Program.cores - 1 do
-      let stats = t.stats.(core) in
-      if t.halted.(core) then
-        stats.idle_after_halt <- stats.idle_after_halt + (until - from)
-      else begin
-        let p = profile_of t core in
-        let n_branch, n_operand, n_queue = Engine.segments p ~from ~until in
-        stats.branch_wait <- stats.branch_wait + n_branch;
-        let pc = t.pc.(core) in
-        if n_operand > 0 then
-          bulk_stall t core ~pc ~reason:Telemetry.Stall.Operand
-            ~count:n_operand ~first_cycle:(from + n_branch);
-        if n_queue > 0 then begin
-          let reason =
-            match t.program.Program.cores.(core).Program.code.(pc) with
-            | Isa.Enq (q, _) -> Telemetry.Stall.Queue_full q
-            | Isa.Deq (_, q) -> Telemetry.Stall.Queue_empty q
-            | _ -> assert false (* only queue gates leave a third segment *)
-          in
-          bulk_stall t core ~pc ~reason ~count:n_queue
-            ~first_cycle:(from + n_branch + n_operand)
-        end
-      end
-    done
-
-(** The event-driven engine: cycles where an instruction issues are
-    stepped one by one (issue order, SMT arbitration and cache state must
-    follow the reference exactly); a cycle where nothing issues proves
-    the machine quiescent, so the engine computes every core's wake time
-    and jumps to the earliest one, bulk-crediting the skipped cycles.
-    Jumps are clamped to the deadlock deadline and the cycle budget so
-    [Stuck] fires at the same cycle with the same payload as the
-    stepper. *)
-let run_event t =
-  let n = Array.length t.program.Program.cores in
-  let cy = ref 0 in
-  let last_progress = ref 0 in
-  let deadlock_window = deadlock_window t in
-  let attempted = Array.make n false in
-  while not (all_halted t) do
-    t.cycles <- !cy;
-    if !cy >= t.config.Config.max_cycles then
-      raise
-        (Stuck
-           (snapshot t (Max_cycles { limit = t.config.Config.max_cycles })));
-    if step_cycle t attempted !cy then begin
-      last_progress := !cy;
-      incr cy
-    end
-    else begin
-      if !cy - !last_progress > deadlock_window then
-        raise (Stuck (snapshot t (Deadlock { window = deadlock_window })));
-      let wake = ref Engine.Never in
-      for core = 0 to n - 1 do
-        if not t.halted.(core) then
-          wake := Engine.min_wake !wake (Engine.wake (profile_of t core))
-      done;
-      (* The machine is quiescent: nothing can change before the earliest
-         wake, the deadlock deadline, or the cycle budget — whichever
-         comes first.  Every wake is > [cy] (an issuable core would have
-         issued or faulted in [step_cycle] above), so the jump always
-         moves forward. *)
-      let deadline = !last_progress + deadlock_window + 1 in
-      let target =
-        match !wake with
-        | Engine.Never -> min deadline t.config.Config.max_cycles
-        | Engine.At w -> min (min w deadline) t.config.Config.max_cycles
-      in
-      assert (target > !cy);
-      credit_quiescent t ~from:(!cy + 1) ~until:target;
-      cy := target
-    end
-  done;
-  for core = 0 to n - 1 do
-    flush_stall_run t core
-  done;
-  t.cycles <- !cy;
-  !cy
-
 (* ------------------------------------------------------------------ *)
 (* The compiled engine.
 
@@ -895,6 +750,30 @@ let run_event t =
    off.  Every state mutation happens in the same order as [step_core],
    so the engine inherits the cycle-exactness contract.
 
+   Cycles where an instruction issues are swept one by one (issue order,
+   SMT arbitration and cache state must follow the stepper exactly).  A
+   cycle where nothing issues proves the machine quiescent: every
+   eligible hardware thread was attempted by the round-robin arbiter (the
+   shared issue slot was never consumed), so no [smt_wait] accrues, the
+   round-robin cursors do not move, and queue contents, scoreboards and
+   program counters are all frozen.  Each blocked core then has a wake
+   cycle, the earliest cycle its issue conditions can change without
+   another core acting:
+   - [max min_issue operands_at] when no queue gates the instruction
+     ([operands_at] is the latest ready time among its sources);
+   - that, or the head's visible-at cycle if later, for a dequeue from a
+     non-empty queue;
+   - never, for an enqueue into a full queue or a dequeue from an empty
+     one: only another core's issue can unblock those.
+   The driver jumps to the earliest wake, clamped by the deadlock
+   deadline and the cycle budget.  Below the earliest wake, a blocked
+   core's skipped window [\[from, until)] splits into at most three
+   contiguous segments: branch-penalty wait while [cycle < min_issue],
+   operand stall while [cycle < operands_at], and the queue gate's stall
+   class for the rest.  Those are exactly the counters the stepper
+   would have bumped one cycle at a time; halted cores accrue
+   [idle_after_halt].
+
    The closures capture the arrays of ONE [t]; a [specialized] value is
    only valid for the instance it was built from. *)
 
@@ -906,16 +785,17 @@ type specialized = {
           pc bounds check (and the off-the-end fault) itself, so the
           hot path is a single indirect call per attempt. *)
   sp_wakes : (unit -> int) array array;
-      (** per logical core, per pc: the wake cycle of that instruction
-          ([Engine.wake] of [profile_of]), [max_int] for [Never] *)
+      (** per logical core, per pc: the wake cycle of that instruction,
+          [max_int] when it cannot wake on its own *)
   sp_cans : (int -> bool) array array;
       (** per logical core, per pc: [issuable] with everything resolved —
           the side-effect-free gate for a bundle's extra slots.  Not
           derivable from [sp_wakes]: a wake folds in [min_issue], which
           the slot-1 issue just pushed to [cy + 1]. *)
   sp_credits : (int -> int -> unit) array array;
-      (** per logical core, per pc: [credit from until] replicates the
-          non-halted branch of [credit_quiescent] for that core *)
+      (** per logical core, per pc: [credit from until] credits the
+          quiescent window [\[from, until)] to that (non-halted) core as
+          its branch-wait / operand-stall / queue-stall segments *)
   sp_threads : int array array;  (** physical core -> logical cores *)
   sp_identity : bool;
       (** identity core map: issue sweep order is core order and the
@@ -1211,12 +1091,11 @@ let specialize t =
             Telemetry.Ring.push t.trace (Ev_issue { core; cycle = cy; pc; instr });
           true
     in
-    (* The fast-forward side of the specialization: per pc, the wake time
-       of [Engine.wake (profile_of t core)] and the window crediting of
-       [credit_quiescent]'s non-halted branch, with the operand max,
-       queue gate, stall reason, class index, counter and fiber slot all
-       baked in (no [Isa.srcs] list, no profile record, no [bulk_stall]
-       dispatch on the quiescent path). *)
+    (* The fast-forward side of the specialization: per pc, the wake
+       cycle and the window crediting described in the section header,
+       with the operand max, queue gate, stall reason, class index,
+       counter and fiber slot all baked in (no [Isa.srcs] list and no
+       stall-reason dispatch on the quiescent path). *)
     let wake_at _pc instr =
       let operands_at =
         match Isa.srcs instr with
@@ -1295,8 +1174,9 @@ let specialize t =
             max x (max y z)
         | srcs -> fun () -> List.fold_left (fun acc r -> max acc ready.(r)) 0 srcs
       in
-      (* The operand segment, [bulk_stall] inlined with everything
-         resolved: [m] is the segment's first cycle, [count] its length. *)
+      (* The operand segment: [note_stall] applied [count] times, with
+         everything resolved and one [Ev_stall] per skipped cycle when
+         tracing.  [m] is the segment's first cycle. *)
       let operand_seg count m =
         stats.stall_operand <- stats.stall_operand + count;
         if t.stall_run_class.(core) = cls_op then
@@ -1386,14 +1266,6 @@ let specialize t =
     sp_live = live;
   }
 
-(* One cycle under the compiled engine: the same two phases as
-   [step_cycle] (round-robin issue sweep, then classification of the
-   cores that never got an attempt) over the pre-compiled steps.  The
-   classification stays a separate pass even on the identity fast path
-   so a fault raised mid-sweep leaves the very counters the reference
-   stepper would.  A pc off the end of the code faults here with the
-   stepper's message ([profile_of] reports such a core as [Free], so the
-   fast-forward path always jumps it back into this sweep). *)
 (* [issue_rest] over the specialized closures: the same continuation
    rule, with [sp_cans] standing in for [issuable]. *)
 let issue_rest_compiled t spec core cy ~prev_pc =
@@ -1423,6 +1295,14 @@ let issue_rest_compiled t spec core cy ~prev_pc =
     else continue_ := false
   done
 
+(* One cycle under the compiled engine: the same two phases as
+   [step_cycle] (round-robin issue sweep, then classification of the
+   cores that never got an attempt) over the pre-compiled steps.  The
+   classification stays a separate pass even on the identity fast path
+   so a fault raised mid-sweep leaves the very counters the reference
+   stepper would.  A pc off the end of the code faults here with the
+   stepper's message (the fast-forward path wakes such a core at its
+   [min_issue], so it always comes back into this sweep). *)
 let step_cycle_compiled t spec attempted cy =
   let n = Array.length spec.sp_steps in
   let width = t.config.Config.issue_width in
@@ -1487,14 +1367,14 @@ let step_cycle_compiled t spec attempted cy =
   done;
   !progressed
 
-(** The compiled engine's driver: the [run_event] loop (quiescent cycles
-    fast-forwarded to the earliest wake, clamped by the deadlock deadline
-    and the cycle budget) over the pre-compiled per-core steps, with the
-    wake and crediting math served by the specialized closures instead of
-    [profile_of].  Off the end of the code, [profile_of] reports a [Free]
-    gate with no operand wait, so the wake is [min_issue] and any
-    credited window is all branch wait (the next sweep then raises the
-    same fault the stepper would). *)
+(** The compiled engine's driver: cycles that issue are swept over the
+    pre-compiled per-core steps, and quiescent cycles fast-forward to the
+    earliest wake (clamped by the deadlock deadline and the cycle budget)
+    with the wake and crediting math served by the specialized closures.
+    A core whose pc ran off the end of its code has no gate and no
+    operand wait, so its wake is [min_issue] and any credited window is
+    all branch wait (the next sweep then raises the same fault the
+    stepper would). *)
 let run_compiled t spec =
   if spec.sp_for != t then
     invalid_arg "Sim.run: specialized value belongs to a different sim";
@@ -1532,8 +1412,9 @@ let run_compiled t spec =
       done;
       (* The machine is quiescent: nothing can change before the earliest
          wake, the deadlock deadline, or the cycle budget — whichever
-         comes first ([max_int] = no self-wake, the event engine's
-         [Never]). *)
+         comes first ([max_int] = no core can wake on its own).  Every
+         wake is > [cy] (an issuable core would have issued or faulted in
+         the sweep above), so the jump always moves forward. *)
       let deadline = !last_progress + deadlock_window + 1 in
       let target = min (min !wake deadline) max_cycles in
       assert (target > !cy);
@@ -1565,15 +1446,14 @@ let run_compiled t spec =
     core to halt.  Raises {!Stuck} on deadlock (no core can make progress
     for [queue length * transfer latency + slack] consecutive cycles) or
     when [max_cycles] is reached (inclusive bound: a run executes at most
-    [max_cycles] cycles).  All engines implement identical semantics
-    (see {!Engine}); [Engine.Event] and [Engine.Compiled] only run
-    faster.  [specialized] (only meaningful for {!Engine.Compiled}) lets
-    the caller time {!specialize} separately; it must come from
-    [specialize] on this same [t]. *)
+    [max_cycles] cycles).  Both engines implement identical semantics
+    (see {!Engine}); [Engine.Compiled] only runs faster.  [specialized]
+    (only meaningful for {!Engine.Compiled}) lets the caller time
+    {!specialize} separately; it must come from [specialize] on this
+    same [t]. *)
 let run ?(engine = Engine.default) ?specialized t =
   match engine with
   | Engine.Cycle -> run_cycle t
-  | Engine.Event -> run_event t
   | Engine.Compiled ->
     let spec =
       match specialized with Some s -> s | None -> specialize t

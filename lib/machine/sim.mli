@@ -26,9 +26,9 @@
 module Telemetry = Finepar_telemetry
 
 module Engine = Engine
-(** Engine selection for {!run}: the reference cycle stepper, the
-    cycle-exact event-driven fast-forward engine, or the compiled engine
-    (pre-specialized closures driven by the same fast-forward). *)
+(** Engine selection for {!run}: the reference cycle stepper, or the
+    compiled engine (pre-specialized closures with quiescent
+    fast-forward). *)
 
 (** What a non-halted core is waiting on when the simulator gives up. *)
 type wait =
@@ -203,7 +203,7 @@ val specialize : t -> specialized
 
 val run : ?engine:Engine.t -> ?specialized:specialized -> t -> int
 (** Run to completion under the selected engine ([Engine.default], the
-    cycle stepper, when omitted); returns the final cycle count.  All
+    cycle stepper, when omitted); returns the final cycle count.  Both
     engines are cycle-exact to each other: identical cycle counts,
     architectural outputs, telemetry, and {!Stuck} payloads.
     [specialized] is only consulted by {!Engine.Compiled} (which

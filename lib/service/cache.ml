@@ -1,11 +1,12 @@
 (** Content-addressed response store.
 
-    A key is (kernel digest, config digest, engine slot, code version);
-    the digests are MD5 over {!Wire}'s canonical strings, the engine
-    slot distinguishes simulation engines (and the simulation-free
-    "compile"/"verify" kinds), and the code version invalidates
-    everything when the pipeline's result semantics change (see
-    {!Version} and DESIGN.md).
+    A key is (kernel digest, config digest, request kind, code
+    version); the digests are MD5 over {!Wire}'s canonical strings, the
+    kind tells run, compile and verify answers apart, and the code
+    version invalidates everything when the pipeline's result semantics
+    change (see {!Version} and DESIGN.md).  The engine of a run request
+    is not part of the key: both engines answer with the same bytes, so
+    an answer computed under one is a hit under the other.
 
     On disk an entry is one file under a two-character shard directory:
 
@@ -31,7 +32,7 @@ module Json = Finepar_telemetry.Json
 type key = {
   kernel_digest : string;  (** MD5 hex of {!Wire.kernel_canon} *)
   config_digest : string;  (** MD5 hex of {!Wire.job_canon} *)
-  engine : string;  (** {!Wire.engine_slot} *)
+  kind : string;  (** {!Wire.kind_slot} *)
   version : string;  (** {!Version.code_version} unless overridden *)
 }
 
@@ -60,26 +61,26 @@ let create ?max_entries ?(version = Version.code_version) dir =
 let digest_hex s = Digest.to_hex (Digest.string s)
 
 let key_of_request t req =
-  match (Wire.job_of_request req, Wire.engine_slot req) with
-  | Some job, Some engine ->
+  match (Wire.job_of_request req, Wire.kind_slot req) with
+  | Some job, Some kind ->
     Some
       {
         kernel_digest = digest_hex (Wire.kernel_canon job);
         config_digest = digest_hex (Wire.job_canon job);
-        engine;
+        kind;
         version = t.version;
       }
   | _ -> None
 
 let header key =
-  Printf.sprintf "(entry (kernel_digest %s) (config_digest %s) (engine %s) (version %s))"
-    key.kernel_digest key.config_digest key.engine key.version
+  Printf.sprintf "(entry (kernel_digest %s) (config_digest %s) (kind %s) (version %s))"
+    key.kernel_digest key.config_digest key.kind key.version
 
 let path t key =
   let hex =
     digest_hex
       (String.concat "\x00"
-         [ key.kernel_digest; key.config_digest; key.engine; key.version ])
+         [ key.kernel_digest; key.config_digest; key.kind; key.version ])
   in
   Filename.concat (Filename.concat t.dir (String.sub hex 0 2)) (hex ^ ".sexp")
 

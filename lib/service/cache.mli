@@ -1,5 +1,5 @@
 (** Content-addressed response store: (kernel digest, config digest,
-    engine slot, code version) -> canonical response bytes, persisted
+    request kind, code version) -> canonical response bytes, persisted
     under a sharded directory.  A hit returns the exact bytes a fresh
     computation would produce; corrupted, truncated or mismatched
     entries count as misses (and are removed), never as crashes.
@@ -8,7 +8,7 @@
 type key = {
   kernel_digest : string;  (** MD5 hex of {!Wire.kernel_canon} *)
   config_digest : string;  (** MD5 hex of {!Wire.job_canon} *)
-  engine : string;  (** {!Wire.engine_slot} *)
+  kind : string;  (** {!Wire.kind_slot}: ["run"], ["compile"] or ["verify"] *)
   version : string;  (** {!Version.code_version} unless overridden *)
 }
 

@@ -3,8 +3,8 @@
     One frame carries one batch.  Handling is three deterministic
     phases: (1) cache lookups and control requests on the calling
     domain, in request order; (2) the misses, grouped by (kernel
-    digest, config digest) so one compilation serves every engine and
-    request kind of the same job, fanned out over {!Finepar_exec.Pool}
+    digest, config digest) so one compilation serves every request kind
+    of the same job, fanned out over {!Finepar_exec.Pool}
     (whose merge is task-index ordered); (3) stores and slot fills back
     on the calling domain, in group order.  Nothing in any phase
     depends on domain scheduling, so responses are byte-identical at
@@ -146,7 +146,7 @@ let handle_requests t (reqs : (Wire.request, string) result list) :
           | None -> misses := (i, req, key) :: !misses)))
     reqs;
   (* Group misses by (kernel digest, config digest), preserving first-
-     occurrence order: one compile serves all engines/kinds of a job. *)
+     occurrence order: one compile serves all kinds of a job. *)
   let groups = ref [] in
   List.iter
     (fun ((_, _, (key : Cache.key)) as item) ->

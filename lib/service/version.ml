@@ -10,5 +10,8 @@
     hygiene". *)
 
 (* fp-svc-2: issue_width / comm_mode config axes, dual_issued report
-   column — both the request and the response bytes changed. *)
-let code_version = "fp-svc-2"
+   column — both the request and the response bytes changed.
+   fp-svc-3: the store key holds the request kind instead of the engine
+   (a run answered under one engine is a hit under the other), and the
+   wire rejects the retired [event] engine. *)
+let code_version = "fp-svc-3"

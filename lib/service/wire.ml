@@ -204,7 +204,9 @@ let request_of_sexp s =
       let engine =
         match Engine.of_string engine_name with
         | Some e -> e
-        | None -> err "unknown engine %S" engine_name
+        | None ->
+          err "unknown engine %S (expected %s)" engine_name
+            (String.concat ", " (List.map Engine.to_string Engine.all))
       in
       Run { job = job_of_sexp (section "job" s); engine }
     | "compile" -> Compile (job_of_sexp (section "job" s))
@@ -219,12 +221,11 @@ let job_of_request = function
   | Run { job; _ } | Compile job | Verify job -> Some job
   | Stats | Ping | Shutdown -> None
 
-(* The cache key's engine component: which half of the pipeline the
-   response depends on.  Run responses depend on the simulation engine;
-   compile and verify responses do not simulate, so all engines share
-   one entry ("compile"/"verify"). *)
-let engine_slot = function
-  | Run { engine; _ } -> Some (Engine.to_string engine)
+(* The cache key's kind component.  The engine is deliberately absent:
+   every engine answers a run with the same bytes, so it only says how
+   to compute a miss. *)
+let kind_slot = function
+  | Run _ -> Some "run"
   | Compile _ -> Some "compile"
   | Verify _ -> Some "verify"
   | Stats | Ping | Shutdown -> None

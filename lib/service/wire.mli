@@ -34,6 +34,9 @@ type job = {
 
 type request =
   | Run of { job : job; engine : Finepar_machine.Engine.t }
+      (** [engine] is a hint for how to compute the run: both engines
+          answer with the same bytes, so it is not part of the cache
+          key *)
   | Compile of job
   | Verify of job
   | Stats  (** cache hit/miss counters — not cached itself *)
@@ -63,10 +66,10 @@ type response =
 val job_of_request : request -> job option
 (** The job a cacheable request carries; [None] for control requests. *)
 
-val engine_slot : request -> string option
-(** The cache key's engine component: the engine name for [Run],
-    ["compile"]/["verify"] for the simulation-free kinds (all engines
-    share those entries), [None] for control requests. *)
+val kind_slot : request -> string option
+(** The cache key's request-kind component: ["run"], ["compile"] or
+    ["verify"]; [None] for control requests.  The engine of a [Run] is
+    not part of the key. *)
 
 val kernel_canon : job -> string
 (** Digest input covering the kernel text alone. *)

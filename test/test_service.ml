@@ -3,7 +3,9 @@
    - wire round-trips: requests, responses, quoted atoms, hex floats
      (including non-finite weights) and full Report.t payloads;
    - cache key hygiene: every job component change is a different key,
-     a code-version bump invalidates the whole store;
+     the engine is not part of the key (a run stored under one engine
+     is a hit under the other), a code-version bump invalidates the
+     whole store;
    - the store survives corruption: truncated / garbage / mismatched
      entries are misses (and are removed), never crashes;
    - eviction respects max_entries;
@@ -224,10 +226,13 @@ let test_key_sensitivity () =
          job = { base_job with profile_counters = [ ("a", 10, 1) ] };
          engine = Cycle;
        });
-  check_differs "engine" (Wire.Run { job = base_job; engine = Event });
-  check_differs "request kind" (Wire.Compile base_job);
-  (* Simulation-free kinds share entries across engines: Compile and
-     Verify have no engine component to vary. *)
+  (* Both engines answer a run with the same bytes, so the engine is a
+     hint for how to compute, not a key component; the request kind
+     still is. *)
+  Alcotest.(check bool) "engine leaves the key unchanged" true
+    (key (Wire.Run { job = base_job; engine = Compiled }) = base);
+  check_differs "request kind (compile)" (Wire.Compile base_job);
+  check_differs "request kind (verify)" (Wire.Verify base_job);
   Alcotest.(check bool) "verify and compile differ" false
     (key (Wire.Verify base_job) = key (Wire.Compile base_job));
   (* Control requests are keyless. *)
@@ -287,7 +292,7 @@ let test_corrupt_entries_are_misses () =
   corrupt_with "";
   corrupt_with "garbage that is not even a sexp (((";
   corrupt_with
-    "(entry (kernel_digest 0) (config_digest 0) (engine cycle) (version x))\n(response (kind pong) (version x))\n";
+    "(entry (kernel_digest 0) (config_digest 0) (kind run) (version x))\n(response (kind pong) (version x))\n";
   (* Truncated mid-payload: valid header, unparsable rest. *)
   Cache.store cache key response;
   let p = entry_path () in
@@ -335,6 +340,44 @@ let test_cached_equals_fresh () =
     (List.assoc "hits" counters);
   Alcotest.(check int) "first pass all misses" (List.length reqs)
     (List.assoc "misses" counters)
+
+(* A run answered under the cycle stepper is stored once and served to a
+   compiled-engine request as a hit, byte-identical to what a fresh
+   compiled run computes. *)
+let test_engine_twins_share_entry () =
+  let entry = List.hd Finepar_kernels.Registry.all in
+  let job =
+    {
+      Wire.kernel = entry.Finepar_kernels.Registry.kernel;
+      config = Finepar.Compiler.default_config ();
+      sequential = false;
+      placement = F.Gen.Identity;
+      workload = Wire.Explicit entry.Finepar_kernels.Registry.workload;
+      profile_counters = [];
+    }
+  in
+  let run engine = [ Ok (Wire.Run { job; engine }) ] in
+  let cache = Cache.create (temp_dir ()) in
+  let server = Server.create ~cache () in
+  let stored = Server.handle_requests server (run Cycle) in
+  let served = Server.handle_requests server (run Compiled) in
+  let fresh =
+    Server.handle_requests
+      (Server.create ~cache:(Cache.create (temp_dir ())) ())
+      (run Compiled)
+  in
+  (match List.map Wire.response_of_string stored with
+  | [ Wire.Run_result _ ] -> ()
+  | _ -> Alcotest.fail "expected a Run_result");
+  let counters = Cache.counters cache in
+  Alcotest.(check int) "compiled request was a hit" 1
+    (List.assoc "hits" counters);
+  Alcotest.(check int) "only the cycle request missed" 1
+    (List.assoc "misses" counters);
+  Alcotest.(check (list string)) "served bytes equal the stored cycle answer"
+    stored served;
+  Alcotest.(check (list string)) "served bytes equal a fresh compiled run"
+    fresh served
 
 let test_parallel_equals_serial () =
   let reqs = List.map Result.ok (batch_for [ 30; 31; 32; 33 ]) in
@@ -428,10 +471,33 @@ let test_malformed_items_reported_in_slot () =
   let cache = Cache.create (temp_dir ()) in
   let server = Server.create ~cache () in
   let good = Wire.request_to_string (Wire.Ping) in
-  let payload = Printf.sprintf "(batch %s (request (kind bogus)) %s)" good good in
+  (* A run naming the retired event engine fails in its own slot. *)
+  let event_run =
+    match Wire.sexp_of_request (Wire.Run { job = job_of_seed 1; engine = Cycle }) with
+    | F.Repro.List items ->
+      F.Repro.canon
+        (F.Repro.List
+           (List.map
+              (function
+                | F.Repro.List [ F.Repro.Atom "engine"; _ ] ->
+                  F.Repro.List [ F.Repro.Atom "engine"; F.Repro.Atom "event" ]
+                | item -> item)
+              items))
+    | F.Repro.Atom _ -> assert false
+  in
+  let payload =
+    Printf.sprintf "(batch %s (request (kind bogus)) %s %s)" good event_run good
+  in
   let out = Server.handle_frame server payload in
   match Wire.responses_of_string out with
-  | [ Wire.Pong _; Wire.Error _; Wire.Pong _ ] -> ()
+  | [ Wire.Pong _; Wire.Error _; Wire.Error msg; Wire.Pong _ ] ->
+    List.iter
+      (fun name ->
+        Alcotest.(check bool)
+          (Printf.sprintf "event rejection names %s: %s" name msg)
+          true
+          (Helpers.contains ~sub:name msg))
+      [ "event"; "cycle"; "compiled" ]
   | _ -> Alcotest.failf "bad batch shape: %s" out
 
 (* ------------------------------------------------------------------ *)
@@ -544,6 +610,8 @@ let () =
         [
           Alcotest.test_case "cached equals fresh, byte for byte" `Quick
             test_cached_equals_fresh;
+          Alcotest.test_case "a cycle answer is a compiled hit" `Quick
+            test_engine_twins_share_entry;
           Alcotest.test_case "-j1 equals -j4, byte for byte" `Quick
             test_parallel_equals_serial;
           Alcotest.test_case "corpus replay -j1 equals -j4, both comm modes"
