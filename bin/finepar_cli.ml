@@ -110,9 +110,11 @@ let machine_of ?(issue_width = 1) ~latency ~queue_len () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Service routing: sweep/autotune/report/fuzz-replay can send their
-   compile+run work through the content-addressed result cache, either
-   in-process over a disk store or to a running `finepar serve`. *)
+(* Service routing: with --via, sweep/autotune/report/fuzz-replay send
+   their jobs through the content-addressed result cache, in-process
+   over a disk store or to a running `finepar serve`.  The server
+   computes a miss with {!Job.compile} and {!Job.run}, the chain the
+   direct path runs, so stdout is the same bytes with or without it. *)
 
 module Wire = Finepar_service.Wire
 module Svc_cache = Finepar_service.Cache
@@ -150,9 +152,6 @@ let with_via ?pool via f =
           ~counters:(fun () -> Svc_client.session_counters session))
   with
   | v -> v
-  | exception Finepar_tune.Service_eval.Service_error msg ->
-    Fmt.epr "service error: %s@." msg;
-    exit 1
   | exception Failure msg ->
     Fmt.epr "%s@." msg;
     exit 1
@@ -166,46 +165,36 @@ let pp_cache_counters counters =
     (if total = 0 then 0. else 100. *. float_of_int hits /. float_of_int total)
     (get "entries")
 
-let run_payload_exn = function
-  | Wire.Run_result p -> p
-  | Wire.Error msg ->
-    Fmt.epr "service error: %s@." msg;
-    exit 1
-  | _ ->
-    Fmt.epr "service: unexpected response kind@.";
+(* The evaluator behind every measuring subcommand: {!Job.direct}, or
+   with --via the service evaluator over one session, whose cache
+   counters then go to stderr.  The protocol run over it ({!Job.speedup},
+   {!Job.autotune}, the search) is the same code either way, so stdout is
+   the same bytes either way; a failed measurement exits 1 on both. *)
+let with_evaluator ?pool ~engine via f =
+  match
+    match via with
+    | None -> f (Job.direct ?pool ~engine ())
+    | Some via ->
+      with_via ?pool via @@ fun ~exec ~counters ->
+      let v = f (Finepar_tune.Service_eval.evaluator ~exec ~engine) in
+      pp_cache_counters (counters ());
+      v
+  with
+  | v -> v
+  | exception Job.Failed msg ->
+    Fmt.epr "error: %s@." msg;
     exit 1
 
-let registry_job ~config ?(sequential = false) (e : Registry.entry) =
+(* The fuzz reproducer's case as a job on its seeded workload. *)
+let case_job (case : Finepar_fuzz.Gen.case) =
   {
-    Wire.kernel = e.Registry.kernel;
-    config;
-    sequential;
-    placement = Finepar_fuzz.Gen.Identity;
-    workload = Wire.Explicit e.Registry.workload;
+    Job.kernel = case.Finepar_fuzz.Gen.kernel;
+    config = case.Finepar_fuzz.Gen.config;
+    sequential = false;
+    placement = case.Finepar_fuzz.Gen.placement;
+    workload = Job.Seeded case.Finepar_fuzz.Gen.workload_seed;
     profile_counters = [];
   }
-
-(* The service-side replica of {!Runner.speedup}'s profile-feedback
-   chain: a sequential-baseline run request per latency point, then the
-   parallel requests carrying the measured load counters.  The chain is
-   what the direct path computes, so the printed numbers match it
-   byte-for-byte. *)
-let speedup_via ~exec ~machine ~config ~engine ~cores (e : Registry.entry) =
-  let config = { config with Compiler.machine; cores } in
-  let seq_job = registry_job ~config ~sequential:true e in
-  let seq =
-    run_payload_exn (List.hd (exec [ Wire.Run { job = seq_job; engine } ]))
-  in
-  let par_job =
-    { seq_job with Wire.sequential = false;
-      profile_counters = seq.Wire.load_counters }
-  in
-  let par =
-    run_payload_exn (List.hd (exec [ Wire.Run { job = par_job; engine } ]))
-  in
-  ( seq,
-    par,
-    float_of_int seq.Wire.cycles /. float_of_int par.Wire.cycles )
 
 (* ------------------------------------------------------------------ *)
 (* Unified host-side tracing: every heavyweight subcommand accepts the
@@ -318,13 +307,15 @@ let run_cmd =
       }
     in
     let seq, par, s =
-      Runner.speedup ~machine ~config ~engine ~workload:e.Registry.workload
-        ~cores e.Registry.kernel
+      with_evaluator ~engine None @@ fun evaluator ->
+      Job.speedup evaluator
+        (Job.make ~machine ~config ~workload:e.Registry.workload ~cores
+           e.Registry.kernel)
     in
     let c = Compiler.compile config e.Registry.kernel in
     Fmt.pr "kernel      %s@." name;
-    Fmt.pr "sequential  %d cycles@." seq.Runner.cycles;
-    Fmt.pr "parallel    %d cycles on %d cores@." par.Runner.cycles
+    Fmt.pr "sequential  %d cycles@." seq;
+    Fmt.pr "parallel    %d cycles on %d cores@." par
       c.Compiler.stats.Compiler.n_partitions;
     Fmt.pr "speedup     %.2f@." s;
     Fmt.pr "stats       %a@." Compiler.pp_stats c.Compiler.stats;
@@ -536,13 +527,19 @@ let report_cmd =
             machine;
           }
         in
-        with_via via @@ fun ~exec ~counters:_ ->
-        let p =
-          run_payload_exn
-            (List.hd
-               (exec [ Wire.Run { job = registry_job ~config e; engine } ]))
+        let job =
+          Job.make ~machine ~config ~workload:e.Registry.workload ~cores
+            e.Registry.kernel
         in
-        p.Wire.report
+        with_via via @@ fun ~exec ~counters:_ ->
+        match exec [ Wire.Run { job; engine } ] with
+        | [ Wire.Run_result p ] -> p.Wire.report
+        | [ Wire.Error msg ] ->
+          Fmt.epr "error: %s@." msg;
+          exit 1
+        | _ ->
+          Fmt.epr "service: unexpected response kind@.";
+          exit 1
     in
     match format with
     | "text" ->
@@ -574,29 +571,17 @@ let sweep_cmd =
     let e = find_entry name in
     let latencies = [ 5; 10; 20; 50; 100 ] in
     Fmt.pr "%-10s %8s@." "latency" "speedup";
-    match via with
-    | None ->
-      List.iter
-        (fun latency ->
-          let machine = machine_of ~latency ~queue_len () in
-          let _, _, s =
-            Runner.speedup ~machine ~engine ~workload:e.Registry.workload
-              ~cores e.Registry.kernel
-          in
-          Fmt.pr "%-10d %8.2f@." latency s)
-        latencies
-    | Some via ->
-      with_via via @@ fun ~exec ~counters ->
-      List.iter
-        (fun latency ->
-          let machine = machine_of ~latency ~queue_len () in
-          let _, _, s =
-            speedup_via ~exec ~machine ~config:(Compiler.default_config ())
-              ~engine ~cores e
-          in
-          Fmt.pr "%-10d %8.2f@." latency s)
-        latencies;
-      pp_cache_counters (counters ())
+    with_evaluator ~engine via @@ fun evaluator ->
+    List.iter
+      (fun latency ->
+        let machine = machine_of ~latency ~queue_len () in
+        let _, _, s =
+          Job.speedup evaluator
+            (Job.make ~machine ~workload:e.Registry.workload ~cores
+               e.Registry.kernel)
+        in
+        Fmt.pr "%-10d %8.2f@." latency s)
+      latencies
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Transfer-latency sweep for one kernel (Fig. 13)")
@@ -605,7 +590,6 @@ let sweep_cmd =
       $ via_arg $ trace_out_arg $ profile_arg)
 
 module Tune_search = Finepar_tune.Search
-module Tune_eval = Finepar_tune.Service_eval
 
 let autotune_cmd =
   let kernel_opt_arg =
@@ -699,18 +683,9 @@ let autotune_cmd =
     in
     let t0 = Unix.gettimeofday () in
     let rows =
-      match via with
-      | None ->
-        let pool = Finepar_exec.Pool.create ?domains:jobs () in
-        Tune_search.run params (Tune_search.direct ~pool ~engine ()) targets
-      | Some via ->
-        let pool = Finepar_exec.Pool.create ?domains:jobs () in
-        with_via ~pool via @@ fun ~exec ~counters ->
-        let rows =
-          Tune_search.run params (Tune_eval.evaluator ~exec ~engine) targets
-        in
-        pp_cache_counters (counters ());
-        rows
+      let pool = Finepar_exec.Pool.create ?domains:jobs () in
+      with_evaluator ~pool ~engine via (fun evaluator ->
+          Tune_search.run params evaluator targets)
     in
     let dt = Unix.gettimeofday () -. t0 in
     let evaluated =
@@ -741,24 +716,13 @@ let autotune_cmd =
   in
   let classic ~name ~machine ~cores ~engine ~via =
     let e = find_entry name in
-    let best_name, best_cycles, candidates =
-      match via with
-      | None ->
-        let t =
-          Runner.autotune ~machine ~cores ~engine
-            ~workload:e.Registry.workload e.Registry.kernel
-        in
-        (t.Runner.best_name, t.Runner.best_cycles, t.Runner.candidates)
-      | Some via ->
-        with_via via @@ fun ~exec ~counters ->
-        let r =
-          Tune_eval.autotune ~exec ~machine ~engine ~cores
-            ~workload:e.Registry.workload e.Registry.kernel
-        in
-        pp_cache_counters (counters ());
-        r
+    let tuned =
+      with_evaluator ~engine via @@ fun evaluator ->
+      Job.autotune evaluator
+        (Job.make ~machine ~workload:e.Registry.workload ~cores
+           e.Registry.kernel)
     in
-    Fmt.pr "%a" Tune_search.pp_autotune (best_name, best_cycles, candidates)
+    Fmt.pr "%a" Tune_search.pp_autotune tuned
   in
   let run name do_search scope fuzz_corpus beam generations budget format
       jobs cores latency queue_len engine via trace_out profile output =
@@ -847,18 +811,7 @@ let fuzz_cmd =
         (fun path ->
           match Finepar_fuzz.Corpus.load_file path with
           | entry ->
-            let case = entry.Finepar_fuzz.Corpus.case in
-            ( path,
-              Ok
-                {
-                  Wire.kernel = case.Finepar_fuzz.Gen.kernel;
-                  config = case.Finepar_fuzz.Gen.config;
-                  sequential = false;
-                  placement = case.Finepar_fuzz.Gen.placement;
-                  workload =
-                    Wire.Seeded case.Finepar_fuzz.Gen.workload_seed;
-                  profile_counters = [];
-                } )
+            (path, Ok (case_job entry.Finepar_fuzz.Corpus.case))
           | exception e -> (path, Error (Printexc.to_string e)))
         files
     in
@@ -1448,10 +1401,14 @@ let request_cmd =
   in
   let emit ~cores ~latency ~queue_len ~corpus output =
     let machine = machine_of ~latency ~queue_len () in
-    let config = { (Compiler.default_config ~cores ()) with Compiler.machine } in
     let run job = Wire.Run { job; engine = Finepar_machine.Engine.default } in
     let registry_reqs =
-      List.map (fun e -> run (registry_job ~config e)) Registry.all
+      List.map
+        (fun (e : Registry.entry) ->
+          run
+            (Job.make ~machine ~workload:e.Registry.workload ~cores
+               e.Registry.kernel))
+        Registry.all
     in
     let corpus_reqs =
       match corpus with
@@ -1460,18 +1417,7 @@ let request_cmd =
         List.map
           (fun path ->
             let entry = Finepar_fuzz.Corpus.load_file path in
-            let case = entry.Finepar_fuzz.Corpus.case in
-            let job =
-              {
-                Wire.kernel = case.Finepar_fuzz.Gen.kernel;
-                config = case.Finepar_fuzz.Gen.config;
-                sequential = false;
-                placement = case.Finepar_fuzz.Gen.placement;
-                workload = Wire.Seeded case.Finepar_fuzz.Gen.workload_seed;
-                profile_counters = [];
-              }
-            in
-            run job)
+            run (case_job entry.Finepar_fuzz.Corpus.case))
           (Finepar_fuzz.Corpus.files dir)
     in
     let batch = Wire.batch_to_string (registry_reqs @ corpus_reqs) in

@@ -45,6 +45,12 @@ let round_trip =
       store "out2" (v "i") (v "y2");
     ]
 
+(* The paper's protocol: a sequential profiling run, then the 4-core
+   compile fed its counters. *)
+let speedup =
+  Finepar.Job.speedup
+    (Finepar.Job.direct ~engine:Finepar_machine.Engine.default ())
+
 let sweep k =
   let workload = Finepar_kernels.Workload.default k in
   Fmt.pr "%-14s" k.Kernel.name;
@@ -53,7 +59,7 @@ let sweep k =
       let machine =
         Finepar_machine.Config.(with_transfer_latency latency default)
       in
-      let _, _, s = Finepar.Runner.speedup ~machine ~workload ~cores:4 k in
+      let _, _, s = speedup (Finepar.Job.make ~machine ~workload ~cores:4 k) in
       Fmt.pr "  lat=%-3d %5.2f" latency s)
     [ 5; 20; 50; 100 ];
   Fmt.pr "@."
@@ -70,7 +76,7 @@ let capacity k =
           transfer_latency = 50;
         }
       in
-      let _, _, s = Finepar.Runner.speedup ~machine ~workload ~cores:4 k in
+      let _, _, s = speedup (Finepar.Job.make ~machine ~workload ~cores:4 k) in
       Fmt.pr "  qlen=%-3d %5.2f" queue_len s)
     [ 1; 2; 4; 8; 20 ];
   Fmt.pr "@."

@@ -41,10 +41,13 @@ let () =
 
   Fmt.pr "@.=== pipelining effect =======================================@.";
   let workload = e.Registry.workload in
-  let seq, par, s = Finepar.Runner.speedup ~workload ~cores:3 kernel in
-  Fmt.pr "sequential:        %7d cycles@." seq.Finepar.Runner.cycles;
-  Fmt.pr "3-core pipelined:  %7d cycles  (speedup %.2f)@."
-    par.Finepar.Runner.cycles s;
+  let seq, par, s =
+    Finepar.Job.speedup
+      (Finepar.Job.direct ~engine:Finepar_machine.Engine.default ())
+      (Finepar.Job.make ~workload ~cores:3 kernel)
+  in
+  Fmt.pr "sequential:        %7d cycles@." seq;
+  Fmt.pr "3-core pipelined:  %7d cycles  (speedup %.2f)@." par s;
   Fmt.pr
     "cores overlap successive iterations through the hardware queues: a@.\
      producer core may run several iterations ahead (up to the queue@.\

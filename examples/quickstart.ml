@@ -60,7 +60,11 @@ let () =
 
   Fmt.pr "=== run on the simulator ===================================@.";
   let workload = Finepar_kernels.Workload.default kernel in
-  let seq, par, s = Finepar.Runner.speedup ~workload ~cores:2 kernel in
-  Fmt.pr "sequential: %d cycles@." seq.Finepar.Runner.cycles;
-  Fmt.pr "2 cores:    %d cycles  (speedup %.2f)@." par.Finepar.Runner.cycles s;
+  let seq, par, s =
+    Finepar.Job.speedup
+      (Finepar.Job.direct ~engine:Finepar_machine.Engine.default ())
+      (Finepar.Job.make ~workload ~cores:2 kernel)
+  in
+  Fmt.pr "sequential: %d cycles@." seq;
+  Fmt.pr "2 cores:    %d cycles  (speedup %.2f)@." par s;
   Fmt.pr "outputs verified bit-exact against the reference evaluator.@."

@@ -48,15 +48,17 @@ let () =
       { (Finepar.Compiler.default_config ~cores:4 ()) with
         Finepar.Compiler.speculation }
     in
-    Finepar.Runner.speedup ~config ~workload ~cores:4 kernel
+    Finepar.Job.speedup
+      (Finepar.Job.direct ~engine:Finepar_machine.Engine.default ())
+      (Finepar.Job.make ~config ~workload ~cores:4 kernel)
   in
   let _, par_base, s_base = run false in
   let _, par_spec, s_spec = run true in
   Fmt.pr "=== effect on 4 cores ======================================@.";
   Fmt.pr "without speculation: %6d cycles  (speedup %.2f)@."
-    par_base.Finepar.Runner.cycles s_base;
+    par_base s_base;
   Fmt.pr "with speculation:    %6d cycles  (speedup %.2f)@."
-    par_spec.Finepar.Runner.cycles s_spec;
+    par_spec s_spec;
   Fmt.pr
     "both versions produce bit-identical results: the speculation is@.\
      rollback-free by construction (both arms are pure), so every@.\

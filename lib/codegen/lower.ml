@@ -465,38 +465,13 @@ let generate ~(kernel : Kernel.t) ~(region : Region.t) ~(deps : Deps.t)
           else None)
         order
     in
-    let enqs =
-      List.filter_map
-        (fun (tr : Comm.transfer) ->
-          if tr.Comm.src_core = core then
-            Some ((tr.Comm.enq_anchor, 2, tr.Comm.seq), It_enq tr)
-          else None)
-        comm.Comm.transfers
-    in
-    (* Dequeues: order by the producer's global position, then hoist with a
-       suffix-min so no dequeue is delayed past a later-enqueued one. *)
-    let deqs =
-      List.filter
-        (fun (tr : Comm.transfer) -> tr.Comm.dst_core = core)
-        comm.Comm.transfers
-      |> List.sort (fun (a : Comm.transfer) (b : Comm.transfer) ->
-             compare
-               (a.Comm.enq_anchor, a.Comm.src_core, a.Comm.ty, a.Comm.seq)
-               (b.Comm.enq_anchor, b.Comm.src_core, b.Comm.ty, b.Comm.seq))
-      |> Array.of_list
-    in
-    let n = Array.length deqs in
-    let anchors = Array.map (fun tr -> tr.Comm.deq_anchor) deqs in
-    for i = n - 2 downto 0 do
-      if anchors.(i + 1) < anchors.(i) then anchors.(i) <- anchors.(i + 1)
-    done;
-    let deq_items =
-      List.init n (fun i -> ((anchors.(i), 0, i), It_deq deqs.(i)))
+    let comm_items =
+      List.map
+        (fun (key, enq, tr) -> (key, if enq then It_enq tr else It_deq tr))
+        (Comm.placement comm ~core)
     in
     List.map snd
-      (List.sort
-         (fun (k1, _) (k2, _) -> compare k1 k2)
-         (fibers @ enqs @ deq_items))
+      (List.sort (fun (k1, _) (k2, _) -> compare k1 k2) (fibers @ comm_items))
   in
   let declared_scalars =
     List.map (fun (d : Kernel.scalar_decl) -> d) kernel.Kernel.scalars

@@ -21,19 +21,25 @@ type kernel_run = {
   speedup : float;
 }
 
+(* The paper's protocol on one registry kernel: a sequential profiling
+   run, then the [cores]-way compile fed its counters. *)
+let entry_speedup ?config ?machine ~cores (e : Registry.entry) =
+  Job.speedup
+    (Job.direct ~engine:Engine.default ())
+    (Job.make ?machine ?config ~workload:e.Registry.workload ~cores
+       e.Registry.kernel)
+
 let run_entry ?config ?machine ~cores (e : Registry.entry) =
-  let seq, par, s =
-    Runner.speedup ?machine ?config ~workload:e.Registry.workload ~cores
-      e.Registry.kernel
+  let seq_cycles, par_cycles, speedup =
+    entry_speedup ?config ?machine ~cores e
   in
-  ( {
-      name = e.Registry.kernel.Kernel.name;
-      app = e.Registry.app;
-      seq_cycles = seq.Runner.cycles;
-      par_cycles = par.Runner.cycles;
-      speedup = s;
-    },
-    par )
+  {
+    name = e.Registry.kernel.Kernel.name;
+    app = e.Registry.app;
+    seq_cycles;
+    par_cycles;
+    speedup;
+  }
 
 let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
@@ -69,8 +75,8 @@ type fig12_row = { f12_name : string; f12_app : string; s2 : float; s4 : float }
 let fig12 ?pool ?machine () =
   pmap pool
     (fun (e : Registry.entry) ->
-      let r2, _ = run_entry ?machine ~cores:2 e in
-      let r4, _ = run_entry ?machine ~cores:4 e in
+      let r2 = run_entry ?machine ~cores:2 e in
+      let r4 = run_entry ?machine ~cores:4 e in
       {
         f12_name = r2.name;
         f12_app = e.Registry.app;
@@ -165,7 +171,7 @@ type table3_row = {
 let table3 ?pool ?machine () =
   pmap pool
     (fun (e : Registry.entry) ->
-      let r4, _ = run_entry ?machine ~cores:4 e in
+      let r4 = run_entry ?machine ~cores:4 e in
       let c =
         Compiler.compile
           (Compiler.default_config ~cores:4 ())
@@ -208,7 +214,7 @@ let fig13 ?pool ?(latencies = [ 5; 20; 50; 100 ]) ?(queue_len = 20) () =
         let machine =
           { Config.default with Config.transfer_latency = latency; queue_len }
         in
-        let r, _ = run_entry ~machine ~cores:4 e in
+        let r = run_entry ~machine ~cores:4 e in
         (latency, (r.name, r.speedup)))
       tasks
   in
@@ -245,11 +251,11 @@ type fig14_row = {
 let fig14 ?pool ?machine () =
   pmap pool
     (fun (e : Registry.entry) ->
-      let base, _ = run_entry ?machine ~cores:4 e in
+      let base = run_entry ?machine ~cores:4 e in
       let config =
         { (Compiler.default_config ~cores:4 ()) with Compiler.speculation = true }
       in
-      let spec, _ = run_entry ~config ?machine ~cores:4 e in
+      let spec = run_entry ~config ?machine ~cores:4 e in
       let c = Compiler.compile config e.Registry.kernel in
       {
         f14_name = base.name;
@@ -270,11 +276,11 @@ type ablation_row = { ab_name : string; ab_base : float; ab_variant : float }
 let throughput_ablation ?pool ?machine () =
   pmap pool
     (fun (e : Registry.entry) ->
-      let base, _ = run_entry ?machine ~cores:4 e in
+      let base = run_entry ?machine ~cores:4 e in
       let config =
         { (Compiler.default_config ~cores:4 ()) with Compiler.throughput = true }
       in
-      let variant, _ = run_entry ~config ?machine ~cores:4 e in
+      let variant = run_entry ~config ?machine ~cores:4 e in
       { ab_name = base.name; ab_base = base.speedup; ab_variant = variant.speedup })
     Registry.all
 
@@ -283,14 +289,14 @@ let throughput_ablation ?pool ?machine () =
 let multipair_ablation ?pool ?machine () =
   pmap pool
     (fun (e : Registry.entry) ->
-      let base, _ = run_entry ?machine ~cores:4 e in
+      let base = run_entry ?machine ~cores:4 e in
       let config =
         {
           (Compiler.default_config ~cores:4 ()) with
           Compiler.algorithm = `Multi_pair;
         }
       in
-      let variant, _ = run_entry ~config ?machine ~cores:4 e in
+      let variant = run_entry ~config ?machine ~cores:4 e in
       { ab_name = base.name; ab_base = base.speedup; ab_variant = variant.speedup })
     Registry.all
 
@@ -302,14 +308,14 @@ let multipair_ablation ?pool ?machine () =
 let comm_mode_ablation ?pool ?machine () =
   pmap pool
     (fun (e : Registry.entry) ->
-      let base, _ = run_entry ?machine ~cores:4 e in
+      let base = run_entry ?machine ~cores:4 e in
       let config =
         {
           (Compiler.default_config ~cores:4 ()) with
           Compiler.comm_mode = Finepar_transform.Comm.Shared_cache;
         }
       in
-      let variant, _ = run_entry ~config ?machine ~cores:4 e in
+      let variant = run_entry ~config ?machine ~cores:4 e in
       { ab_name = base.name; ab_base = base.speedup; ab_variant = variant.speedup })
     Registry.all
 
@@ -322,9 +328,9 @@ let issue_width_ablation ?pool ?machine () =
   let machine = Option.value ~default:Config.default machine in
   pmap pool
     (fun (e : Registry.entry) ->
-      let base, _ = run_entry ~machine ~cores:4 e in
+      let base = run_entry ~machine ~cores:4 e in
       let wide = { machine with Config.issue_width = 2 } in
-      let variant, _ = run_entry ~machine:wide ~cores:4 e in
+      let variant = run_entry ~machine:wide ~cores:4 e in
       { ab_name = base.name; ab_base = base.speedup; ab_variant = variant.speedup })
     Registry.all
 
@@ -381,7 +387,7 @@ let queue_capacity_ablation ?pool ?(queue_lens = [ 2; 4; 20 ])
         let machine =
           { Config.default with Config.queue_len; transfer_latency = latency }
         in
-        let r, _ = run_entry ~machine ~cores:4 e in
+        let r = run_entry ~machine ~cores:4 e in
         ((queue_len, latency), r.speedup))
       tasks
   in
@@ -525,10 +531,7 @@ let queue_limit_study ?pool ?machine ?(limits = [ 12; 6; 4; 2 ]) () =
             Compiler.max_queue_pairs = Some limit;
           }
         in
-        let _, _, s =
-          Runner.speedup ?machine ~config ~workload:e.Registry.workload
-            ~cores:4 e.Registry.kernel
-        in
+        let _, _, s = entry_speedup ?machine ~config ~cores:4 e in
         (limit, s))
       tasks
   in
@@ -551,10 +554,7 @@ let cores_sweep ?pool ?machine ?(cores = [ 2; 4; 8 ]) () =
   let runs =
     pmap pool
       (fun ((e : Registry.entry), c) ->
-        let _, _, s =
-          Runner.speedup ?machine ~workload:e.Registry.workload ~cores:c
-            e.Registry.kernel
-        in
+        let _, _, s = entry_speedup ?machine ~cores:c e in
         (e.Registry.kernel.Kernel.name, (c, s)))
       tasks
   in

@@ -28,7 +28,7 @@ open Builder
 (** How the compiled program's hardware threads map onto physical cores
     ({!Finepar_machine.Sim.create}'s [core_map]); non-identity placements
     exercise the SMT issue-slot sharing path. *)
-type placement = Identity | Single_core | Mod2 | Div2
+type placement = Finepar.Job.placement = Identity | Single_core | Mod2 | Div2
 
 let placement_name = function
   | Identity -> "identity"
@@ -43,13 +43,7 @@ let placement_of_name = function
   | "div2" -> Some Div2
   | _ -> None
 
-(** Materialize a placement for a program with [n] hardware threads. *)
-let materialize placement n =
-  match placement with
-  | Identity -> Array.init n Fun.id
-  | Single_core -> Array.make n 0
-  | Mod2 -> Array.init n (fun i -> i mod 2)
-  | Div2 -> Array.init n (fun i -> i / 2)
+let materialize = Finepar.Job.materialize
 
 (** One differential-fuzzing case: what to compile, how to compile it,
     where to place the threads, and which workload data to run on. *)

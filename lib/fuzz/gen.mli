@@ -2,14 +2,13 @@
     fuzzing.  See the implementation header for the soundness rules the
     generator maintains. *)
 
-type placement = Identity | Single_core | Mod2 | Div2
+type placement = Finepar.Job.placement = Identity | Single_core | Mod2 | Div2
 
 val placement_name : placement -> string
 val placement_of_name : string -> placement option
 
 val materialize : placement -> int -> int array
-(** [materialize p n] is the simulator [core_map] for [n] hardware
-    threads. *)
+(** {!Finepar.Job.materialize}. *)
 
 type case = {
   kernel : Finepar_ir.Kernel.t;

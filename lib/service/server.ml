@@ -2,15 +2,15 @@
 
     One frame carries one batch.  Handling is three deterministic
     phases: (1) cache lookups and control requests on the calling
-    domain, in request order; (2) the misses, grouped by (kernel
-    digest, config digest) so one compilation serves every request kind
-    of the same job, fanned out over {!Finepar_exec.Pool}
-    (whose merge is task-index ordered); (3) stores and slot fills back
-    on the calling domain, in group order.  Nothing in any phase
-    depends on domain scheduling, so responses are byte-identical at
-    [-j1] and [-jN], and a cached response is byte-identical to a fresh
-    one because the cache stores the canonical response string
-    verbatim.
+    domain, in request order; (2) the misses, one per distinct key,
+    grouped by (kernel digest, config digest) so one compilation serves
+    every request kind of the same job, fanned out over
+    {!Finepar_exec.Pool} (whose merge is task-index ordered); (3) stores
+    and slot fills back on the calling domain, in group order.  Nothing
+    in any phase depends on domain scheduling, so responses are
+    byte-identical at [-j1] and [-jN], and a cached response is
+    byte-identical to a fresh one because the cache stores the
+    canonical response string verbatim.
 
     Pipeline failures (compile rejection, simulator deadlock, evaluator
     mismatch) become [Error] responses rendered through the exceptions'
@@ -18,7 +18,7 @@
 
 module Compiler = Finepar.Compiler
 module Runner = Finepar.Runner
-module Gen = Finepar_fuzz.Gen
+module Job = Finepar.Job
 module Pool = Finepar_exec.Pool
 
 type t = {
@@ -30,28 +30,13 @@ type t = {
 let create ?pool ~cache () = { cache; pool; stop = false }
 
 (* ------------------------------------------------------------------ *)
-(* Job evaluation.                                                      *)
-
-let compile_job (job : Wire.job) =
-  let profile = Finepar_analysis.Profile.of_counters job.profile_counters in
-  let config = { job.config with Compiler.profile } in
-  if job.sequential then
-    Compiler.compile_sequential ~machine:config.Compiler.machine job.kernel
-  else Compiler.compile config job.kernel
-
-let workload_of (job : Wire.job) =
-  match job.workload with
-  | Wire.Seeded seed -> Finepar_kernels.Workload.default ~seed job.kernel
-  | Wire.Explicit w -> w
+(* Job evaluation: one {!Finepar.Job.compile} per group, and every
+   request kind answered from that compilation.  A run is
+   {!Finepar.Job.run}, so its numbers are exactly what the in-process
+   evaluator measures for the same job.                                *)
 
 let run_response compiled (job : Wire.job) engine =
-  let program = compiled.Compiler.code.Finepar_codegen.Lower.program in
-  let n_cores = Array.length program.Finepar_machine.Program.cores in
-  let core_map = Gen.materialize job.placement n_cores in
-  let r =
-    Runner.run ~check:true ~workload:(workload_of job) ~core_map ~engine
-      compiled
-  in
+  let r = Job.run ~engine job compiled in
   Wire.Run_result
     {
       cycles = r.Runner.cycles;
@@ -103,17 +88,17 @@ let task_response compiled req =
 let compute_group items =
   let compiled =
     match items with
-    | (_, req, _) :: _ -> (
+    | (req, _) :: _ -> (
       let job = Option.get (Wire.job_of_request req) in
-      match compile_job job with
+      match Job.compile job with
       | c -> Ok c
       | exception e -> Error (Printexc.to_string e))
     | [] -> assert false
   in
   List.map
-    (fun (i, req, (key : Cache.key)) ->
+    (fun (req, (key : Cache.key)) ->
       let body, cacheable = task_response compiled req in
-      (i, key, cacheable, body))
+      (key, cacheable, body))
     items
 
 (* ------------------------------------------------------------------ *)
@@ -131,6 +116,9 @@ let handle_requests t (reqs : (Wire.request, string) result list) :
     string list =
   let slots = Array.make (List.length reqs) "" in
   let misses = ref [] in
+  (* Slots per missed key: twins (same full key, e.g. one job's run
+     under both engines) are computed once and share its bytes. *)
+  let twins = Hashtbl.create 16 in
   List.iteri
     (fun i req ->
       match req with
@@ -143,13 +131,18 @@ let handle_requests t (reqs : (Wire.request, string) result list) :
         | Some key -> (
           match Cache.find t.cache key with
           | Some body -> slots.(i) <- body
-          | None -> misses := (i, req, key) :: !misses)))
+          | None -> (
+            match Hashtbl.find_opt twins key with
+            | Some slots -> slots := i :: !slots
+            | None ->
+              Hashtbl.add twins key (ref [ i ]);
+              misses := (req, key) :: !misses))))
     reqs;
   (* Group misses by (kernel digest, config digest), preserving first-
      occurrence order: one compile serves all kinds of a job. *)
   let groups = ref [] in
   List.iter
-    (fun ((_, _, (key : Cache.key)) as item) ->
+    (fun ((_, (key : Cache.key)) as item) ->
       let gk = (key.Cache.kernel_digest, key.Cache.config_digest) in
       match List.assoc_opt gk !groups with
       | Some r -> r := item :: !r
@@ -160,9 +153,9 @@ let handle_requests t (reqs : (Wire.request, string) result list) :
   in
   let computed = Pool.map_opt t.pool ~f:compute_group groups in
   List.iter
-    (List.iter (fun (i, key, cacheable, body) ->
+    (List.iter (fun (key, cacheable, body) ->
          if cacheable then Cache.store t.cache key body;
-         slots.(i) <- body))
+         List.iter (fun i -> slots.(i) <- body) !(Hashtbl.find twins key)))
     computed;
   Array.to_list slots
 

@@ -7,7 +7,8 @@
     lookups/stores run on the calling domain in request order, misses
     fan out over {!Finepar_exec.Pool} (task-index-ordered merge)
     grouped by (kernel digest, config digest) so one compilation serves
-    every engine and request kind of a job. *)
+    every engine and request kind of a job, and requests sharing one
+    cache key are computed and stored once. *)
 
 type t
 

@@ -26,20 +26,17 @@ let err = R.parse_error
 (* ------------------------------------------------------------------ *)
 (* Jobs: what to compile, how to run it.                                *)
 
-type workload_spec = Seeded of int | Explicit of Finepar_ir.Eval.workload
+type workload_spec = Finepar.Job.workload =
+  | Seeded of int
+  | Explicit of Finepar_ir.Eval.workload
 
-type job = {
+type job = Finepar.Job.t = {
   kernel : Finepar_ir.Kernel.t;
   config : Finepar.Compiler.config;
   sequential : bool;
-      (** compile with {!Finepar.Compiler.compile_sequential} (the
-          speedup baseline) instead of the full pipeline *)
   placement : Gen.placement;
   workload : workload_spec;
   profile_counters : (string * int * int) list;
-      (** per-array (name, loads, L1 misses) feedback; the backend
-          rebuilds {!Finepar_analysis.Profile.of_counters} from these
-          ([[]] means no feedback, i.e. all hits) *)
 }
 
 type request =

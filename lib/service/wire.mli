@@ -13,23 +13,20 @@
     encoded and round-trips as [[]]: responses must be byte-identical
     cached-vs-fresh and [-j1]-vs-[-jN]. *)
 
-(** Workload arrays: either derived from a splitmix64 seed
-    ({!Finepar_kernels.Workload.default}) or carried explicitly (the
-    registry's fixed workloads). *)
-type workload_spec = Seeded of int | Explicit of Finepar_ir.Eval.workload
+(** {!Finepar.Job.workload}: seeded or explicit workload arrays. *)
+type workload_spec = Finepar.Job.workload =
+  | Seeded of int
+  | Explicit of Finepar_ir.Eval.workload
 
-(** One unit of compile work plus everything that parameterizes it. *)
-type job = {
+(** {!Finepar.Job.t}: one unit of compile work plus everything that
+    parameterizes it. *)
+type job = Finepar.Job.t = {
   kernel : Finepar_ir.Kernel.t;
   config : Finepar.Compiler.config;
   sequential : bool;
-      (** compile with {!Finepar.Compiler.compile_sequential} (the
-          speedup baseline) instead of the full pipeline *)
-  placement : Finepar_fuzz.Gen.placement;  (** SMT thread placement *)
+  placement : Finepar_fuzz.Gen.placement;
   workload : workload_spec;
   profile_counters : (string * int * int) list;
-      (** per-array (name, loads, L1 misses) profile feedback; [[]]
-          means no feedback (all hits) *)
 }
 
 type request =

@@ -95,6 +95,37 @@ let shared_slots (t : t) : (transfer * slot) list =
       (tr, s))
     t.transfers
 
+(** In-loop placement of [core]'s communication.  Enqueues sit right
+    after their producing fiber: key [(enq_anchor, 2, seq)].  Dequeues
+    are ordered by the producer's global position, then hoisted with a
+    suffix-min so none is delayed past a later-enqueued one: key
+    [(hoisted deq_anchor, 0, rank)].  The code generator sorts these
+    keys together with its fibers' [(position, 1, id)]; the static
+    verifier sorts them alone to get the order it expects. *)
+let placement (t : t) ~core =
+  let enqs =
+    List.filter_map
+      (fun tr ->
+        if tr.src_core = core then Some ((tr.enq_anchor, 2, tr.seq), true, tr)
+        else None)
+      t.transfers
+  in
+  let deqs =
+    List.filter (fun tr -> tr.dst_core = core) t.transfers
+    |> List.sort (fun a b ->
+           compare
+             (a.enq_anchor, a.src_core, a.ty, a.seq)
+             (b.enq_anchor, b.src_core, b.ty, b.seq))
+    |> Array.of_list
+  in
+  let anchors = Array.map (fun tr -> tr.deq_anchor) deqs in
+  for i = Array.length anchors - 2 downto 0 do
+    if anchors.(i + 1) < anchors.(i) then anchors.(i) <- anchors.(i + 1)
+  done;
+  enqs
+  @ List.init (Array.length deqs) (fun i ->
+        ((anchors.(i), 0, i), false, deqs.(i)))
+
 (** (flag slots, i64 data slots, f64 data slots) needed by the plan. *)
 let shared_slot_counts (t : t) =
   List.fold_left

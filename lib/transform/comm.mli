@@ -58,6 +58,14 @@ val shared_slots : t -> (transfer * slot) list
     plan's canonical transfer order; the code generator and the static
     verifier both use this function. *)
 
+val placement : t -> core:int -> ((int * int * int) * bool * transfer) list
+(** [core]'s enqueues ([true]) and dequeues ([false]), each with its
+    in-loop sort key [(anchor, phase, tiebreak)]: enqueues at phase 2
+    after their producing fiber, dequeues at phase 0 in producer order,
+    hoisted with a suffix-min.  Fibers sort at phase 1 between them.
+    The code generator places communication by these keys and the static
+    verifier checks the lowered program against them. *)
+
 val shared_slot_counts : t -> int * int * int
 (** (flag slots, i64 data slots, f64 data slots) the plan needs. *)
 

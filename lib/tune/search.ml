@@ -2,11 +2,9 @@
    for the lockstep-batch structure and the determinism contract. *)
 
 module Compiler = Finepar.Compiler
-module Runner = Finepar.Runner
+module Job = Finepar.Job
 module Config = Finepar_machine.Config
-module Wire = Finepar_service.Wire
 module Gen = Finepar_fuzz.Gen
-module Pool = Finepar_exec.Pool
 module Kernel = Finepar_ir.Kernel
 module Registry = Finepar_kernels.Registry
 module J = Finepar_telemetry.Json
@@ -14,8 +12,8 @@ module J = Finepar_telemetry.Json
 type target = {
   t_name : string;
   t_kernel : Kernel.t;
-  t_workload : Wire.workload_spec;
-  t_placement : Gen.placement;
+  t_workload : Job.workload;
+  t_placement : Job.placement;
   t_paper_speedup4 : float option;
 }
 
@@ -25,8 +23,8 @@ let registry_targets () =
       {
         t_name = e.Registry.kernel.Kernel.name;
         t_kernel = e.Registry.kernel;
-        t_workload = Wire.Explicit e.Registry.workload;
-        t_placement = Gen.Identity;
+        t_workload = Job.Explicit e.Registry.workload;
+        t_placement = Job.Identity;
         t_paper_speedup4 = Some e.Registry.paper.Registry.p_speedup4;
       })
     Registry.all
@@ -41,8 +39,8 @@ let corpus_targets () =
       {
         t_name = k.Kernel.name;
         t_kernel = k;
-        t_workload = Wire.Seeded corpus_seed;
-        t_placement = Gen.Identity;
+        t_workload = Job.Seeded corpus_seed;
+        t_placement = Job.Identity;
         t_paper_speedup4 = None;
       })
     Finepar_kernels.Corpus.excluded
@@ -56,7 +54,7 @@ let fuzz_targets ~dir =
         t_name =
           "fuzz:" ^ Filename.remove_extension (Filename.basename path);
         t_kernel = case.Gen.kernel;
-        t_workload = Wire.Seeded case.Gen.workload_seed;
+        t_workload = Job.Seeded case.Gen.workload_seed;
         t_placement = case.Gen.placement;
         t_paper_speedup4 = None;
       })
@@ -73,43 +71,7 @@ type params = {
 let default_params =
   { cores = 4; machine = Config.default; beam = 2; generations = 3; budget = 40 }
 
-type measure = (int * (string * int * int) list, string) result
-type evaluator = Wire.job list -> measure list
-
-(* The in-process evaluator replicates the server's compute path
-   (Server.compile_job + run_response): profile feedback comes from the
-   job's counters, the placement is materialized against the compiled
-   core count, checking is always on, and any pipeline exception is
-   rendered with [Printexc.to_string] — so measures and error strings
-   byte-match the service path. *)
-let eval_job ~engine (job : Wire.job) : measure =
-  match
-    let profile =
-      Finepar_analysis.Profile.of_counters job.Wire.profile_counters
-    in
-    let config = { job.Wire.config with Compiler.profile } in
-    let compiled =
-      if job.Wire.sequential then
-        Compiler.compile_sequential ~machine:config.Compiler.machine
-          job.Wire.kernel
-      else Compiler.compile config job.Wire.kernel
-    in
-    let program = compiled.Compiler.code.Finepar_codegen.Lower.program in
-    let n_cores = Array.length program.Finepar_machine.Program.cores in
-    let core_map = Gen.materialize job.Wire.placement n_cores in
-    let workload =
-      match job.Wire.workload with
-      | Wire.Seeded seed ->
-        Finepar_kernels.Workload.default ~seed job.Wire.kernel
-      | Wire.Explicit w -> w
-    in
-    Runner.run ~check:true ~workload ~core_map ~engine compiled
-  with
-  | r -> Ok (r.Runner.cycles, r.Runner.load_counters)
-  | exception e -> Error (Printexc.to_string e)
-
-let direct ?pool ~engine () : evaluator =
- fun jobs -> Pool.map_opt pool ~f:(eval_job ~engine) jobs
+let direct = Job.direct
 
 type best = { b_desc : string; b_config : Compiler.config; b_cycles : int }
 
@@ -126,7 +88,7 @@ type row = {
    domain, driven by evaluator results in batch order. *)
 type tstate = {
   st_target : target;
-  mutable st_seq : (int * (string * int * int) list, string) result;
+  mutable st_seq : Job.measure;
   st_seen : (string, unit) Hashtbl.t;
   mutable st_results : (string * Compiler.config * int) list;  (* reversed *)
   mutable st_heuristic : (int, string) result;
@@ -146,7 +108,7 @@ let job_of (st : tstate) ~sequential config =
     else match st.st_seq with Ok (_, counters) -> counters | Error _ -> []
   in
   {
-    Wire.kernel = st.st_target.t_kernel;
+    Job.kernel = st.st_target.t_kernel;
     config;
     sequential;
     placement = st.st_target.t_placement;
@@ -173,16 +135,16 @@ let best_of (st : tstate) =
       | None -> Some { b_desc = desc; b_config = config; b_cycles = cycles }
       | Some b ->
         (* Strict [< 0]: ties keep the earlier evaluation, matching
-           Runner.autotune's selection. *)
+           Job.autotune's selection. *)
         if
-          Runner.compare_candidates (cycles, config) (b.b_cycles, b.b_config)
+          Job.compare_candidates (cycles, config) (b.b_cycles, b.b_config)
           < 0
         then Some { b_desc = desc; b_config = config; b_cycles = cycles }
         else Some b)
     None
     (List.rev st.st_results)
 
-let run (p : params) (evaluator : evaluator) targets =
+let run (p : params) (evaluator : Job.evaluator) targets =
   let p =
     {
       p with
@@ -222,7 +184,7 @@ let run (p : params) (evaluator : evaluator) targets =
       match st.st_seq with
       | Error msg -> st.st_heuristic <- Error msg
       | Ok _ ->
-        let cands = Runner.autotune_candidates base_config in
+        let cands = Job.autotune_candidates base_config in
         let baseline, rest =
           List.partition (fun (n, _) -> String.equal n "baseline") cands
         in
@@ -268,7 +230,7 @@ let run (p : params) (evaluator : evaluator) targets =
             let ranked =
               List.stable_sort
                 (fun (_, ca, cya) (_, cb, cyb) ->
-                  Runner.compare_candidates (cya, ca) (cyb, cb))
+                  Job.compare_candidates (cya, ca) (cyb, cb))
                 (List.rev st.st_results)
             in
             let elites = take p.beam ranked in

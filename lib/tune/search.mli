@@ -8,7 +8,7 @@
     the direct path fans the batch out over {!Finepar_exec.Pool}.
 
     Determinism contract: candidate enumeration, deduplication, elite
-    selection ({!Finepar.Runner.compare_candidates}, stable on
+    selection ({!Finepar.Job.compare_candidates}, stable on
     evaluation order) and result folding all depend only on evaluator
     results in batch order — never on timing — so the rendered table
     and JSON are byte-identical at [-j1] and [-jN], and cached vs.
@@ -18,8 +18,8 @@
 type target = {
   t_name : string;
   t_kernel : Finepar_ir.Kernel.t;
-  t_workload : Finepar_service.Wire.workload_spec;
-  t_placement : Finepar_fuzz.Gen.placement;
+  t_workload : Finepar.Job.workload;
+  t_placement : Finepar.Job.placement;
   t_paper_speedup4 : float option;
       (** Table III's published 4-core speedup, for registry kernels *)
 }
@@ -38,7 +38,7 @@ val fuzz_targets : dir:string -> target list
 (** Search parameters.  [budget] bounds candidate evaluations per
     target (the sequential reference is not counted); [generations]
     bounds neighbor-expansion rounds after generation 0 (the
-    {!Finepar.Runner.autotune_candidates} seed, heuristic pick first so
+    {!Finepar.Job.autotune_candidates} seed, heuristic pick first so
     it survives any budget); [beam] is the elite count expanded each
     round. *)
 type params = {
@@ -52,26 +52,12 @@ type params = {
 val default_params : params
 (** 4 cores, default machine, beam 2, 3 generations, budget 40. *)
 
-(** One measurement: simulated cycles plus per-array load counters
-    (used only for the sequential profiling reference), or the
-    deterministic rendering of the pipeline error. *)
-type measure = (int * (string * int * int) list, string) result
-
-type evaluator = Finepar_service.Wire.job list -> measure list
-(** Evaluates one batch of jobs, results in request order.  {!direct}
-    computes in-process; {!Service_eval.evaluator} routes through the
-    service cache.  Both produce identical measures and identical error
-    strings. *)
-
 val direct :
   ?pool:Finepar_exec.Pool.t ->
   engine:Finepar_machine.Engine.t ->
   unit ->
-  evaluator
-(** In-process evaluation, replicating the server's compute path
-    (profile feedback from the job's counters, placement
-    materialization, [check:true]) so its measures — including rendered
-    errors — byte-match the service path. *)
+  Finepar.Job.evaluator
+(** {!Finepar.Job.direct}. *)
 
 (** Per-target search outcome. *)
 type best = {
@@ -91,13 +77,15 @@ type row = {
   r_generations : int;  (** evaluation rounds run (generation 0 included) *)
 }
 
-val run : params -> evaluator -> target list -> row list
+val run : params -> Finepar.Job.evaluator -> target list -> row list
 (** The search proper.  Generation 0 is the shared
-    {!Finepar.Runner.autotune_candidates} list (baseline first); each
+    {!Finepar.Job.autotune_candidates} list (baseline first); each
     later generation expands the [beam] best rows' {!Space.neighbors},
     deduplicated against everything already evaluated, truncated to the
     remaining budget.  Targets whose sequential reference fails get an
-    error row and no candidate evaluations. *)
+    error row and no candidate evaluations.  The rows depend only on the
+    measures, so they are the same over {!direct} and
+    {!Service_eval.evaluator}. *)
 
 val gap : row -> float option
 (** [heuristic cycles / best cycles] — 1.0 means the heuristic pick was
@@ -116,6 +104,5 @@ val to_json : params:params -> row list -> Finepar_telemetry.Json.t
 val pp_autotune :
   Format.formatter -> string * int * (string * int) list -> unit
 (** The classic fixed-candidate autotune table
-    [(best name, best cycles, (candidate, cycles) list)] — one renderer
-    shared by the CLI's direct and [--via] paths, so their outputs are
-    byte-identical by construction. *)
+    [(best name, best cycles, (candidate, cycles) list)], as
+    {!Finepar.Job.autotune} returns it. *)

@@ -1,71 +1,14 @@
 (* Service-backed evaluation.  See the .mli. *)
 
-module Compiler = Finepar.Compiler
-module Runner = Finepar.Runner
 module Wire = Finepar_service.Wire
-module Gen = Finepar_fuzz.Gen
-
-exception Service_error of string
 
 type exec = Wire.request list -> Wire.response list
 
-let run_payload = function
-  | Wire.Run_result p -> Ok p
-  | Wire.Error msg -> Error msg
-  | _ -> Error "service: unexpected response kind"
-
-let payload_exn resp =
-  match run_payload resp with
-  | Ok p -> p
-  | Error msg -> raise (Service_error msg)
-
-let evaluator ~exec ~engine : Search.evaluator =
+let evaluator ~exec ~engine : Finepar.Job.evaluator =
  fun jobs ->
   List.map
-    (fun resp ->
-      Result.map
-        (fun (p : Wire.run_payload) -> (p.Wire.cycles, p.Wire.load_counters))
-        (run_payload resp))
+    (function
+      | Wire.Run_result p -> Ok (p.Wire.cycles, p.Wire.load_counters)
+      | Wire.Error msg -> Error msg
+      | _ -> Error "service: unexpected response kind")
     (exec (List.map (fun job -> Wire.Run { job; engine }) jobs))
-
-let autotune ~exec ~machine ~engine ~cores ~workload kernel =
-  let base = { (Compiler.default_config ~cores ()) with Compiler.machine } in
-  let mk ~sequential ~profile config =
-    Wire.Run
-      {
-        job =
-          {
-            Wire.kernel;
-            config;
-            sequential;
-            placement = Gen.Identity;
-            workload = Wire.Explicit workload;
-            profile_counters = profile;
-          };
-        engine;
-      }
-  in
-  let seq =
-    payload_exn (List.hd (exec [ mk ~sequential:true ~profile:[] base ]))
-  in
-  let candidates = Runner.autotune_candidates base in
-  let responses =
-    exec
-      (List.map
-         (fun (_, config) ->
-           mk ~sequential:false ~profile:seq.Wire.load_counters config)
-         candidates)
-  in
-  let measured =
-    List.map2
-      (fun (name, config) resp -> (name, config, (payload_exn resp).Wire.cycles))
-      candidates responses
-  in
-  let best_name, _, best_cycles =
-    List.fold_left
-      (fun (bn, bc, bcy) (n, c, cy) ->
-        if Runner.compare_candidates (cy, c) (bcy, bc) < 0 then (n, c, cy)
-        else (bn, bc, bcy))
-      (List.hd measured) (List.tl measured)
-  in
-  (best_name, best_cycles, List.map (fun (n, _, cy) -> (n, cy)) measured)

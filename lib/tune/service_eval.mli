@@ -1,35 +1,15 @@
 (** Evaluation through the compile-and-simulate service cache: the
-    [--via=store:DIR|socket:PATH] counterpart of {!Search.direct}, and
-    the service-side replica of {!Finepar.Runner.autotune} built from
-    the same shared candidate enumeration and comparison — the two can
-    no longer drift. *)
-
-exception Service_error of string
-(** A service [Error] response (or unexpected response kind) on a path
-    that expected a run result. *)
+    [--via=store:DIR|socket:PATH] evaluator.  It differs from
+    {!Finepar.Job.direct} only in where a job is computed — the server
+    answers a miss with {!Finepar.Job.compile} and {!Finepar.Job.run} —
+    so {!Finepar.Job.speedup}, {!Finepar.Job.autotune} and {!Search.run}
+    print the same bytes over either. *)
 
 type exec = Finepar_service.Wire.request list -> Finepar_service.Wire.response list
 (** One batch round-trip, e.g. [Finepar_service.Client.session_exec]
     partially applied to an open session. *)
 
 val evaluator :
-  exec:exec -> engine:Finepar_machine.Engine.t -> Search.evaluator
+  exec:exec -> engine:Finepar_machine.Engine.t -> Finepar.Job.evaluator
 (** Sends each batch as [Run] requests; cycles and load counters from
-    [Run_result], service [Error] payloads as [Error] measures — the
-    same measures {!Search.direct} computes, byte-for-byte. *)
-
-val autotune :
-  exec:exec ->
-  machine:Finepar_machine.Config.t ->
-  engine:Finepar_machine.Engine.t ->
-  cores:int ->
-  workload:Finepar_ir.Eval.workload ->
-  Finepar_ir.Kernel.t ->
-  string * int * (string * int) list
-(** The classic fixed-candidate autotune through the service: one
-    sequential run for profile feedback, then
-    {!Finepar.Runner.autotune_candidates} as one batch, best picked
-    with {!Finepar.Runner.compare_candidates} — identical names, cycle
-    counts and winner to the direct {!Finepar.Runner.autotune}.
-    Returns [(best name, best cycles, (candidate, cycles) list)];
-    raises {!Service_error} on an error response. *)
+    [Run_result], service [Error] payloads as [Error] measures. *)

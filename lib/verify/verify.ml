@@ -836,39 +836,16 @@ let conformance_check add (program : Program.t) (plan : Comm.t) summaries =
           missing := true;
           None
       in
-      (* Expected enqueues: anchor order, as Lower sorts them. *)
-      let enqs =
+      (* Expected order: Lower's placement keys, from the one function
+         both use. *)
+      let events =
         List.filter_map
-          (fun (tr : Comm.transfer) ->
-            if tr.Comm.src_core = core then
-              event (tr.Comm.enq_anchor, 2, tr.Comm.seq) true tr
-            else None)
-          plan.Comm.transfers
-      in
-      (* Expected dequeues: producer-anchor order with the suffix-min
-         hoist, replicating Lower's placement keys. *)
-      let deq_trs =
-        List.filter
-          (fun (tr : Comm.transfer) -> tr.Comm.dst_core = core)
-          plan.Comm.transfers
-        |> List.sort (fun (a : Comm.transfer) (b : Comm.transfer) ->
-               compare
-                 (a.Comm.enq_anchor, a.Comm.src_core, a.Comm.ty, a.Comm.seq)
-                 (b.Comm.enq_anchor, b.Comm.src_core, b.Comm.ty, b.Comm.seq))
-        |> Array.of_list
-      in
-      let anchors = Array.map (fun tr -> tr.Comm.deq_anchor) deq_trs in
-      for i = Array.length anchors - 2 downto 0 do
-        if anchors.(i + 1) < anchors.(i) then anchors.(i) <- anchors.(i + 1)
-      done;
-      let deqs =
-        List.filter_map Fun.id
-          (List.init (Array.length deq_trs) (fun i ->
-               event (anchors.(i), 0, i) false deq_trs.(i)))
+          (fun (key, enq, tr) -> event key enq tr)
+          (Comm.placement plan ~core)
       in
       if not !missing then begin
         let expected =
-          List.sort (fun (k1, _) (k2, _) -> compare k1 k2) (enqs @ deqs)
+          List.sort (fun (k1, _) (k2, _) -> compare k1 k2) events
         in
         let actual = in_loop_ops items in
         let n_exp = List.length expected and n_act = List.length actual in

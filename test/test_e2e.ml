@@ -11,10 +11,17 @@ open Finepar_ir
 open Builder
 open Finepar_kernels
 
+(* The paper's protocol: a sequential profiling run, then the parallel
+   compile fed its counters (Runner.run checks both runs). *)
+let speedup ?machine ?config ~workload ~cores k =
+  Finepar.Job.speedup
+    (Finepar.Job.direct ~engine:Finepar_machine.Engine.default ())
+    (Finepar.Job.make ?machine ?config ~workload ~cores k)
+
 let speedup_of ?config ?machine k ~cores =
   let workload = Workload.default k in
-  let _, par, s = Finepar.Runner.speedup ?machine ?config ~workload ~cores k in
-  Alcotest.(check bool) "ran" true (par.Finepar.Runner.cycles > 0);
+  let _, par, s = speedup ?machine ?config ~workload ~cores k in
+  Alcotest.(check bool) "ran" true (par > 0);
   s
 
 (* ------------------------------------------------------------------ *)
@@ -26,13 +33,13 @@ let registry_case (e : Registry.entry) =
       List.iter
         (fun cores ->
           let _, par, _ =
-            Finepar.Runner.speedup ~workload:e.Registry.workload ~cores
+            speedup ~workload:e.Registry.workload ~cores
               e.Registry.kernel
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s %d-core bit-exact" name cores)
             true
-            (par.Finepar.Runner.cycles > 0))
+            (par > 0))
         [ 1; 2; 3; 4 ])
 
 let variant_case name mk_config =
@@ -41,13 +48,13 @@ let variant_case name mk_config =
         (fun (e : Registry.entry) ->
           let config, machine = mk_config () in
           let _, par, _ =
-            Finepar.Runner.speedup ?config ?machine
+            speedup ?config ?machine
               ~workload:e.Registry.workload ~cores:4 e.Registry.kernel
           in
           Alcotest.(check bool)
             (e.Registry.kernel.Kernel.name ^ " bit-exact under " ^ name)
             true
-            (par.Finepar.Runner.cycles > 0))
+            (par > 0))
         Registry.all)
 
 let with_config f () = (Some (f (Finepar.Compiler.default_config ~cores:4 ())), None)
@@ -194,7 +201,7 @@ let test_average_speedups () =
 let test_umt2k6_slows_down () =
   let e = Option.get (Registry.find "umt2k-6") in
   let _, _, s =
-    Finepar.Runner.speedup ~workload:e.Registry.workload ~cores:4
+    speedup ~workload:e.Registry.workload ~cores:4
       e.Registry.kernel
   in
   Alcotest.(check bool) "umt2k-6 does not speed up" true (s <= 1.0)
@@ -208,7 +215,7 @@ let test_latency_degrades () =
       List.map
         (fun (e : Registry.entry) ->
           let _, _, s =
-            Finepar.Runner.speedup ~machine ~workload:e.Registry.workload
+            speedup ~machine ~workload:e.Registry.workload
               ~cores:4 e.Registry.kernel
           in
           s)

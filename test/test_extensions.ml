@@ -104,32 +104,29 @@ let test_queue_limit_zero () =
 (* ------------------------------------------------------------------ *)
 (* Autotuning (Section III-I: multiple code versions + feedback).      *)
 
+let autotune (e : Registry.entry) =
+  Finepar.Job.autotune
+    (Finepar.Job.direct ~engine:Finepar_machine.Engine.default ())
+    (Finepar.Job.make ~workload:e.Registry.workload ~cores:4 e.Registry.kernel)
+
 let test_autotune_picks_minimum () =
   let e = Option.get (Registry.find "lammps-1") in
-  let t =
-    Finepar.Runner.autotune ~cores:4 ~workload:e.Registry.workload
-      e.Registry.kernel
-  in
+  let _, best_cycles, candidates = autotune e in
   List.iter
     (fun (n, cy) ->
       Alcotest.(check bool)
         (Printf.sprintf "best <= %s" n)
         true
-        (t.Finepar.Runner.best_cycles <= cy))
-    t.Finepar.Runner.candidates;
-  Alcotest.(check int) "six candidates" 6
-    (List.length t.Finepar.Runner.candidates)
+        (best_cycles <= cy))
+    candidates;
+  Alcotest.(check int) "six candidates" 6 (List.length candidates)
 
 let test_autotune_slowdown_kernel_goes_sequential () =
   (* umt2k-6 loses from fine-grained parallelization; the tuner must keep
      the sequential version. *)
   let e = Option.get (Registry.find "umt2k-6") in
-  let t =
-    Finepar.Runner.autotune ~cores:4 ~workload:e.Registry.workload
-      e.Registry.kernel
-  in
-  Alcotest.(check string) "sequential wins" "sequential"
-    t.Finepar.Runner.best_name
+  let best_name, _, _ = autotune e in
+  Alcotest.(check string) "sequential wins" "sequential" best_name
 
 (* ------------------------------------------------------------------ *)
 (* Scaling.                                                            *)

@@ -343,7 +343,8 @@ let test_cached_equals_fresh () =
 
 (* A run answered under the cycle stepper is stored once and served to a
    compiled-engine request as a hit, byte-identical to what a fresh
-   compiled run computes. *)
+   compiled run computes; the same twins inside one batch frame are
+   computed once. *)
 let test_engine_twins_share_entry () =
   let entry = List.hd Finepar_kernels.Registry.all in
   let job =
@@ -377,7 +378,35 @@ let test_engine_twins_share_entry () =
   Alcotest.(check (list string)) "served bytes equal the stored cycle answer"
     stored served;
   Alcotest.(check (list string)) "served bytes equal a fresh compiled run"
-    fresh served
+    fresh served;
+  (* Twins inside one batch frame are simulated and stored once, and
+     both slots carry that one answer. *)
+  let module Tracer = Finepar_telemetry.Tracer in
+  let cache = Cache.create (temp_dir ()) in
+  let tracer = Tracer.create () in
+  Tracer.install tracer;
+  let frame =
+    Fun.protect ~finally:Tracer.uninstall (fun () ->
+        Server.handle_frame
+          (Server.create ~cache ())
+          (Wire.batch_to_string
+             [
+               Wire.Run { job; engine = Cycle };
+               Wire.Run { job; engine = Compiled };
+             ]))
+  in
+  Alcotest.(check (list string)) "both twins answered with the fresh bytes"
+    (fresh @ fresh)
+    (List.map F.Repro.canon (Wire.batch_items_of_string frame));
+  Alcotest.(check int) "one sim span for the twins" 1
+    (List.length
+       (List.filter
+          (fun (sp : Tracer.span) -> String.equal sp.Tracer.cat "sim")
+          (Tracer.spans tracer)));
+  Alcotest.(check int) "twins stored once" 1
+    (List.assoc "stores" (Cache.counters cache));
+  Alcotest.(check int) "every twin lookup counted" 2
+    (List.assoc "misses" (Cache.counters cache))
 
 let test_parallel_equals_serial () =
   let reqs = List.map Result.ok (batch_for [ 30; 31; 32; 33 ]) in

@@ -1,18 +1,17 @@
-(* Tests for the generational autotuning search (lib/tune) and the
-   Runner.autotune correctness fixes it rides on:
+(* Tests for the generational autotuning search (lib/tune) and the job
+   evaluation it rides on:
 
-   - check policy is uniform and does not change reported cycles;
    - tie-breaking follows the documented preference order (fewer
      cycles, then fewer cores, then the simpler config) and is stable;
-   - the classic autotune through --via byte-matches the direct path
-     (shared candidate enumeration, shared comparison, shared renderer);
+   - the direct and store evaluators give identical measures (errors
+     included), so Job.speedup and Job.autotune agree over both;
    - the search is byte-identical at -j1 and -j4, and cached vs. fresh
      through a store (with a 100% warm hit rate);
    - the search never returns a config worse than the Section III-B
      heuristic pick, and respects its budget/generation bounds. *)
 
 module Compiler = Finepar.Compiler
-module Runner = Finepar.Runner
+module Job = Finepar.Job
 module Registry = Finepar_kernels.Registry
 module Pool = Finepar_exec.Pool
 module Client = Finepar_service.Client
@@ -48,37 +47,11 @@ let small_params =
   { Search.default_params with Search.generations = 2; budget = 12 }
 
 (* ------------------------------------------------------------------ *)
-(* Satellite fixes in Runner.autotune.                                  *)
-
-let test_check_policy_uniform () =
-  (* Checking happens after simulation, so making the check policy
-     uniform must not change any reported cycle count — the assertion
-     that pins the ~check:false/true asymmetry fix. *)
-  List.iter
-    (fun name ->
-      let e = Option.get (Registry.find name) in
-      let checked =
-        Runner.autotune ~cores:4 ~check:true ~workload:e.Registry.workload
-          ~engine e.Registry.kernel
-      in
-      let unchecked =
-        Runner.autotune ~cores:4 ~check:false ~workload:e.Registry.workload
-          ~engine e.Registry.kernel
-      in
-      Alcotest.(check int)
-        (name ^ ": best_cycles unchanged by check policy")
-        checked.Runner.best_cycles unchecked.Runner.best_cycles;
-      Alcotest.(check (list (pair string int)))
-        (name ^ ": all candidate cycles unchanged")
-        checked.Runner.candidates unchecked.Runner.candidates;
-      Alcotest.(check string)
-        (name ^ ": same winner")
-        checked.Runner.best_name unchecked.Runner.best_name)
-    [ "lammps-1"; "umt2k-6" ]
+(* Job evaluation and candidate selection.                              *)
 
 let test_tie_break_order () =
   let base = Compiler.default_config ~cores:4 () in
-  let cmp a b = Runner.compare_candidates a b in
+  let cmp a b = Job.compare_candidates a b in
   (* Fewer cycles dominates everything. *)
   Alcotest.(check bool)
     "fewer cycles wins" true
@@ -124,32 +97,62 @@ let test_tie_break_order () =
      candidate, independent of evaluation interleaving. *)
   Alcotest.(check int) "identical configs tie" 0 (cmp (10, base) (10, base))
 
-let test_via_matches_direct_autotune () =
-  (* The classic fixed-candidate autotune: direct vs through a store,
-     rendered with the shared renderer — byte-identical tables. *)
-  List.iter
-    (fun name ->
-      let e = Option.get (Registry.find name) in
-      let t =
-        Runner.autotune ~cores:4 ~workload:e.Registry.workload ~engine
-          e.Registry.kernel
+let test_evaluators_agree () =
+  (* Direct and through a fresh store, the same jobs give the same
+     measures, error rendering included: the server answers a miss with
+     the same Job.compile and Job.run the direct evaluator calls. *)
+  let direct = Job.direct ~engine () in
+  Client.with_session (Client.Store (temp_dir ())) (fun session ->
+      let via =
+        Service_eval.evaluator ~exec:(Client.session_exec session) ~engine
       in
-      let direct_table =
-        Fmt.str "%a" Search.pp_autotune
-          (t.Runner.best_name, t.Runner.best_cycles, t.Runner.candidates)
+      let e = Option.get (Registry.find "lammps-1") in
+      let par =
+        Job.make ~workload:e.Registry.workload ~cores:4 e.Registry.kernel
       in
-      let via_result =
-        Client.with_session (Client.Store (temp_dir ())) (fun session ->
-            Service_eval.autotune
-              ~exec:(Client.session_exec session)
-              ~machine:Finepar_machine.Config.default ~engine ~cores:4
-              ~workload:e.Registry.workload e.Registry.kernel)
+      let seq = { par with Job.sequential = true } in
+      let counters =
+        match direct [ seq ] with
+        | [ Ok (_, counters) ] -> counters
+        | _ -> Alcotest.fail "sequential run failed"
       in
-      let via_table = Fmt.str "%a" Search.pp_autotune via_result in
-      Alcotest.(check string)
-        (name ^ ": via table byte-matches direct")
-        direct_table via_table)
-    [ "lammps-1"; "umt2k-6"; "irs-2" ]
+      let first_array =
+        (List.hd e.Registry.kernel.Finepar_ir.Kernel.arrays)
+          .Finepar_ir.Kernel.a_name
+      in
+      let jobs =
+        [
+          seq;
+          { par with Job.profile_counters = counters };
+          { par with Job.placement = Job.Mod2 };
+          { par with Job.workload = Job.Seeded 7 };
+          { par with Job.workload = Job.Explicit [ (first_array, [||]) ] };
+        ]
+      in
+      let measures = direct jobs in
+      Alcotest.(check (list bool))
+        "only the truncated workload errors"
+        [ true; true; true; true; false ]
+        (List.map Result.is_ok measures);
+      let measure =
+        Alcotest.(result (pair int (list (triple string int int))) string)
+      in
+      Alcotest.(check (list measure)) "store measures = direct measures"
+        measures (via jobs);
+      (* The two protocols over either evaluator. *)
+      List.iter
+        (fun name ->
+          let e = Option.get (Registry.find name) in
+          let job =
+            Job.make ~workload:e.Registry.workload ~cores:4 e.Registry.kernel
+          in
+          Alcotest.(check (triple int int (float 0.)))
+            (name ^ ": speedup") (Job.speedup direct job)
+            (Job.speedup via job);
+          Alcotest.(check (triple string int (list (pair string int))))
+            (name ^ ": autotune") (Job.autotune direct job)
+            (Job.autotune via job))
+        [ "lammps-1"; "umt2k-6" ])
 
 (* ------------------------------------------------------------------ *)
 (* The search.                                                          *)
@@ -296,12 +299,10 @@ let () =
     [
       ( "runner-fixes",
         [
-          Alcotest.test_case "uniform check policy leaves cycles unchanged"
-            `Quick test_check_policy_uniform;
           Alcotest.test_case "documented tie-break order" `Quick
             test_tie_break_order;
-          Alcotest.test_case "--via autotune byte-matches direct" `Quick
-            test_via_matches_direct_autotune;
+          Alcotest.test_case "direct and store evaluators agree" `Quick
+            test_evaluators_agree;
         ] );
       ( "search",
         [
