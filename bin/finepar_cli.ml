@@ -91,10 +91,10 @@ let engine_conv =
 
 let engine_arg =
   let doc =
-    "Simulation engine: $(b,cycle) (the reference stepper) or \
-     $(b,compiled) (per-core programs pre-specialized to closure arrays, \
-     fast-forwarding cycles in which nothing can issue).  The two are \
-     cycle-exact to each other; $(b,compiled) is faster."
+    "Simulation engine: $(b,compiled), the default (per-core programs \
+     pre-specialized to closure arrays, fast-forwarding cycles in which \
+     nothing can issue), or $(b,cycle) (the reference stepper).  The two \
+     are cycle-exact to each other; $(b,compiled) is faster."
   in
   Arg.(
     value

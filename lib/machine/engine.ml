@@ -3,7 +3,7 @@
 
 type t = Cycle | Compiled
 
-let default = Cycle
+let default = Compiled
 let all = [ Cycle; Compiled ]
 
 let to_string = function Cycle -> "cycle" | Compiled -> "compiled"

@@ -13,7 +13,10 @@ type t =
           payloads. *)
 
 val default : t
-(** {!Cycle}, the reference semantics. *)
+(** {!Compiled}, the fast engine: every run that names no engine
+    simulates on it.  {!Cycle} stays the reference that the
+    differential tests and the cross-engine fuzz oracle name
+    explicitly. *)
 
 val all : t list
 (** [[Cycle; Compiled]]: the reference first. *)

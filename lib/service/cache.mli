@@ -7,7 +7,7 @@
 
 type key = {
   kernel_digest : string;  (** MD5 hex of {!Wire.kernel_canon} *)
-  config_digest : string;  (** MD5 hex of {!Wire.job_canon} *)
+  config_digest : string;  (** MD5 hex of {!Wire.config_digest_input} *)
   kind : string;  (** {!Wire.kind_slot}: ["run"], ["compile"] or ["verify"] *)
   version : string;  (** {!Version.code_version} unless overridden *)
 }

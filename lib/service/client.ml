@@ -41,6 +41,13 @@ let connect ?(attempts = 50) path =
   in
   go attempts
 
+let read_response ic =
+  match Server.read_frame ic with
+  | Server.Frame response -> response
+  | Server.End_of_input -> failwith "service: server closed the connection"
+  | Server.Bad_header line ->
+    failwith (Printf.sprintf "service: bad frame header %S from server" line)
+
 let exec_socket ?attempts path payload =
   let sock = connect ?attempts path in
   let ic = Unix.in_channel_of_descr sock in
@@ -51,9 +58,7 @@ let exec_socket ?attempts path payload =
       close_in_noerr ic)
     (fun () ->
       Server.write_frame oc payload;
-      match Server.read_frame ic with
-      | Some response -> response
-      | None -> failwith "service: server closed the connection")
+      read_response ic)
 
 (* One frame out, one frame in; the response payload is returned as
    raw bytes so callers can byte-compare or persist it unchanged. *)
@@ -111,9 +116,7 @@ let session_frame session payload =
   | S_store (server, _) -> Server.handle_frame server payload
   | S_socket { ic; oc } -> (
     Server.write_frame oc payload;
-    match Server.read_frame ic with
-    | Some response -> response
-    | None -> failwith "service: server closed the connection")
+    read_response ic)
 
 let session_exec_strings session reqs =
   let payload = session_frame session (Wire.batch_to_string reqs) in

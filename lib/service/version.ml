@@ -13,5 +13,7 @@
    column — both the request and the response bytes changed.
    fp-svc-3: the store key holds the request kind instead of the engine
    (a run answered under one engine is a hit under the other), and the
-   wire rejects the retired [event] engine. *)
-let code_version = "fp-svc-3"
+   wire rejects the retired [event] engine.
+   fp-svc-4: the config digest hashes the workload's values in binary
+   instead of their [%h] text, so every key is new. *)
+let code_version = "fp-svc-4"

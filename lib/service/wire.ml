@@ -228,22 +228,63 @@ let kind_slot = function
   | Stats | Ping | Shutdown -> None
 
 (* Digest inputs.  The kernel digest covers the program text alone; the
-   job digest covers everything else that can change a response for the
-   same kernel: config (incl. machine geometry and weights), sequential
-   flag, placement, workload, profile feedback. *)
+   config digest covers everything else that can change a response for
+   the same kernel: config (incl. machine geometry and weights),
+   sequential flag, placement, profile feedback, workload. *)
 let kernel_canon (j : job) = canon (R.sexp_of_kernel j.kernel)
 
-let job_canon (j : job) =
-  canon
-    (List
-       [
-         Atom "jobcfg";
-         sexp_of_config j.config;
-         List [ Atom "sequential"; Atom (string_of_bool j.sequential) ];
-         List [ Atom "placement"; Atom (Gen.placement_name j.placement) ];
-         sexp_of_workload j.workload;
-         sexp_of_counters "profile_counters" j.profile_counters;
-       ])
+(* A float's digest bits.  The wire's [%h] text drops a NaN's payload
+   but keeps its sign ("nan", "-nan"), so every NaN digests as the quiet
+   NaN of its sign: a job and its wire round-trip share a key.  -0.0
+   keeps its sign bit and stays distinct from 0.0. *)
+let quiet_nan = Float.of_string "nan"
+
+let float_bits f =
+  Int64.bits_of_float (if Float.is_nan f then Float.copy_sign quiet_nan f else f)
+
+let add_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
+
+(* The workload, which can hold thousands of values, goes in as a
+   length-prefixed binary encoding of the values themselves rather than
+   their rendered text: a tag and the seed, or per array the name's
+   length, the name, the value count, then per value a type tag and
+   eight bytes. *)
+let add_workload buf = function
+  | Seeded seed ->
+    Buffer.add_char buf 'S';
+    add_int buf seed
+  | Explicit arrays ->
+    Buffer.add_char buf 'E';
+    List.iter
+      (fun (name, vals) ->
+        add_int buf (String.length name);
+        Buffer.add_string buf name;
+        add_int buf (Array.length vals);
+        Array.iter
+          (function
+            | Finepar_ir.Types.VInt i ->
+              Buffer.add_char buf 'i';
+              add_int buf i
+            | Finepar_ir.Types.VFloat f ->
+              Buffer.add_char buf 'f';
+              Buffer.add_int64_le buf (float_bits f))
+          vals)
+      arrays
+
+let config_digest_input (j : job) =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf
+    (canon
+       (List
+          [
+            Atom "jobcfg";
+            sexp_of_config j.config;
+            List [ Atom "sequential"; Atom (string_of_bool j.sequential) ];
+            List [ Atom "placement"; Atom (Gen.placement_name j.placement) ];
+            sexp_of_counters "profile_counters" j.profile_counters;
+          ]));
+  add_workload buf j.workload;
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Histograms, reports.                                                 *)

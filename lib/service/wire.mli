@@ -71,10 +71,15 @@ val kind_slot : request -> string option
 val kernel_canon : job -> string
 (** Digest input covering the kernel text alone. *)
 
-val job_canon : job -> string
+val config_digest_input : job -> string
 (** Digest input covering everything else that can change a response
-    for the same kernel: config (machine geometry, weights, ...),
-    sequential flag, placement, workload, profile feedback. *)
+    for the same kernel: the canonical text of config (machine
+    geometry, weights, ...), sequential flag, placement and profile
+    feedback, then a length-prefixed binary encoding of the workload's
+    values (ints as int64, floats as their bits with every NaN mapped
+    to the quiet NaN of its sign — the equivalence the wire's [%h] text
+    has, so a job and its wire round-trip digest alike).  Not text: only ever
+    hashed. *)
 
 (** {2 Single messages} *)
 

@@ -25,10 +25,12 @@ let two_cores ?(arrays = [||]) ~queues build0 build1 =
   }
 
 (* Build a simulator over [program] and run it to completion under the
-   selected engine (default: the cycle stepper). *)
-let run ?(config = Config.default) ?tracing ?engine ?(initial = []) program =
+   selected engine (default: the cycle stepper, the reference semantics
+   these suites test). *)
+let run ?(config = Config.default) ?tracing ?(engine = Engine.Cycle)
+    ?(initial = []) program =
   let sim = Sim.create ?tracing ~config ~initial program in
-  let cycles = Sim.run ?engine sim in
+  let cycles = Sim.run ~engine sim in
   (sim, cycles)
 
 (* A single int queue from core 0 to core 1. *)
@@ -43,9 +45,9 @@ let contains ~sub s =
   m = 0 || go 0
 
 (* Compile a registry kernel at [cores] and run it (tracing on) on its
-   own workload; returns the compiled program and the finished
-   simulator. *)
-let sim_of ?engine ~cores name =
+   own workload under the selected engine (default: the cycle stepper);
+   returns the compiled program and the finished simulator. *)
+let sim_of ?(engine = Engine.Cycle) ~cores name =
   let e =
     match Finepar_kernels.Registry.find name with
     | Some e -> e
@@ -57,7 +59,7 @@ let sim_of ?engine ~cores name =
       e.Finepar_kernels.Registry.kernel
   in
   let _, sim =
-    Finepar.Runner.run_with_sim ~tracing:true ?engine
+    Finepar.Runner.run_with_sim ~tracing:true ~engine
       ~workload:e.Finepar_kernels.Registry.workload c
   in
   (c, sim)

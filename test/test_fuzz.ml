@@ -124,6 +124,34 @@ let test_repro_rejects_unknown_field () =
         "unknown machine field \"bogus_latency\"" );
     ]
 
+let test_repro_parse_errors () =
+  (* Lexical errors (strings, escapes) are found over the whole input
+     before any structural one, so ")\"" reports the string. *)
+  List.iter
+    (fun (input, expected) ->
+      match F.Repro.parse_sexp input with
+      | exception F.Repro.Parse_error msg ->
+        Alcotest.(check string) (Printf.sprintf "error for %S" input) expected msg
+      | _ -> Alcotest.failf "%S parsed" input)
+    [
+      ("", "unexpected end of input");
+      (")", "unexpected ')'");
+      ("(a", "unterminated '('");
+      ("a b", "trailing input at \"b\"");
+      ("\"ab", "unterminated string literal");
+      ("\"a\\", "unterminated escape in string");
+      ("\"\\q\"", "unknown escape '\\q'");
+      (")\"", "unterminated string literal");
+    ];
+  (* A long flat list (a big workload array) parses without stack
+     depth proportional to its length. *)
+  let long =
+    F.Repro.List (List.init 100_000 (fun i -> F.Repro.Atom (string_of_int i)))
+  in
+  let text = F.Repro.canon long in
+  Alcotest.(check bool) "100k-atom list round-trips" true
+    (F.Repro.parse_sexp text = long)
+
 let test_repro_hex_floats () =
   (* Float constants survive bit-exactly even when decimal printing
      would not round-trip. *)
@@ -316,6 +344,8 @@ let () =
             test_repro_rejects_unknown_field;
           Alcotest.test_case "hex float bit-exactness" `Quick
             test_repro_hex_floats;
+          Alcotest.test_case "parse errors pinned, long lists" `Quick
+            test_repro_parse_errors;
         ] );
       ( "shrinker",
         [

@@ -527,7 +527,28 @@ let test_tracer_nesting () =
   Alcotest.(check (list (pair string int)))
     "counters accumulate, sorted"
     [ ("cases", 3); ("other", 1) ]
-    (T.Tracer.counters tr)
+    (T.Tracer.counters tr);
+  (* A run that names no engine simulates on [Engine.default], the
+     compiled engine, and still times its specialize step as a pass span
+     nested under the sim span. *)
+  let e = Option.get (Finepar_kernels.Registry.find "lammps-1") in
+  let c =
+    Compiler.compile
+      (Compiler.default_config ~cores:2 ())
+      e.Finepar_kernels.Registry.kernel
+  in
+  let tr =
+    with_tracer (fun tr ->
+        ignore (Runner.run ~workload:e.Finepar_kernels.Registry.workload c);
+        tr)
+  in
+  let spans = T.Tracer.spans tr in
+  let sim = List.find (fun s -> s.T.Tracer.name = "sim:compiled") spans in
+  let specialize = List.find (fun s -> s.T.Tracer.name = "specialize") spans in
+  Alcotest.(check string) "specialize is a pass span" "pass"
+    specialize.T.Tracer.cat;
+  Alcotest.(check int) "specialize nested under the sim span"
+    sim.T.Tracer.id specialize.T.Tracer.parent
 
 let test_tracer_multi_domain () =
   let tr =
