@@ -203,7 +203,7 @@ val specialize : t -> specialized
 
 val run : ?engine:Engine.t -> ?specialized:specialized -> t -> int
 (** Run to completion under the selected engine ([Engine.default], the
-    cycle stepper, when omitted); returns the final cycle count.  Both
+    compiled engine, when omitted); returns the final cycle count.  Both
     engines are cycle-exact to each other: identical cycle counts,
     architectural outputs, telemetry, and {!Stuck} payloads.
     [specialized] is only consulted by {!Engine.Compiled} (which
