@@ -1445,26 +1445,21 @@ let request_cmd =
              (fun () -> read_all ic)
          end)
     in
-    let response, counters =
-      match via with
-      | Svc_client.Store dir ->
-        let cache = Svc_cache.create dir in
-        let pool = Finepar_exec.Pool.create ?domains:jobs () in
-        let server = Svc_server.create ~pool ~cache () in
-        (Svc_server.handle_frame server payload, fun () -> Svc_cache.counters cache)
-      | Svc_client.Socket _ ->
-        ( Svc_client.exec_frame via payload,
-          fun () ->
-            match Svc_client.exec via [ Wire.Stats ] with
-            | [ Wire.Stats_result cs ] -> cs
-            | _ ->
-              Fmt.epr "service: bad stats response@.";
-              exit 1 )
-    in
-    with_output output (fun oc ->
-        output_string oc response;
-        output_char oc '\n');
-    if stats then pp_cache_counters (counters ())
+    (* One session: the frame, then (for --stats) the counters over the
+       same store handle or the same connection. *)
+    let pool = Finepar_exec.Pool.create ?domains:jobs () in
+    match
+      Svc_client.with_session ~pool via (fun session ->
+          let response = Svc_client.session_frame session payload in
+          with_output output (fun oc ->
+              output_string oc response;
+              output_char oc '\n');
+          if stats then pp_cache_counters (Svc_client.session_counters session))
+    with
+    | () -> ()
+    | exception Failure msg ->
+      Fmt.epr "%s@." msg;
+      exit 1
   in
   let run file emit_flag corpus via jobs stats cores latency queue_len output =
     if emit_flag then emit ~cores ~latency ~queue_len ~corpus output

@@ -28,7 +28,7 @@ exception Mismatch of string
     @param tracing record per-cycle issue/stall events in the simulator's
       bounded ring buffer (default [false])
     @param trace_capacity ring capacity when tracing
-      (default {!Finepar_machine.Sim.default_trace_capacity})
+      (default 65536)
     @param engine simulation engine (default
       {!Finepar_machine.Engine.default}, the compiled engine); the two engines
       are cycle-exact to each other.  The compiled engine's one-time

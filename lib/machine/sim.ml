@@ -342,8 +342,6 @@ let int_of_reg t core r =
   | Types.VInt i -> i
   | Types.VFloat _ -> fault t "core %d: r%d used as integer holds f64" core r
 
-let record_event t ev = if t.tracing then Telemetry.Ring.push t.trace ev
-
 (* Fiber the instruction at [pc] on [core] was generated from, shifted by
    one so slot 0 holds runtime glue ([Program.no_fiber]). *)
 let fiber_slot t core pc =
@@ -357,35 +355,55 @@ let flush_stall_run t core =
     t.stall_run_len.(core) <- 0
   end
 
-(* One cycle blocked on [reason]: bump the per-class counter, extend or
-   open a stall episode, attribute the cycle to the blocked instruction's
-   fiber, and trace the event. *)
-let note_stall t core cy pc reason =
-  let stats = t.stats.(core) in
+(* The bookkeeping every issue shares, in the stepper's order: count the
+   instruction, close any stall episode, charge the cycle to its fiber
+   ([slot], as from [fiber_slot]), and trace it.  Inlined: it runs on
+   every issued instruction. *)
+let[@inline] note_issue t stats core ~slot cy pc instr =
+  stats.instrs <- stats.instrs + 1;
+  if t.stall_run_class.(core) >= 0 then flush_stall_run t core;
+  t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1;
+  if t.tracing then
+    Telemetry.Ring.push t.trace (Ev_issue { core; cycle = cy; pc; instr })
+
+(* [note_issue] for an instruction that falls through: the next one is
+   at [pc + 1] and may issue next cycle.  Returns [true], the result of
+   a step that issued. *)
+let[@inline] issue_next t stats core ~slot cy pc instr =
+  t.pc.(core) <- pc + 1;
+  t.min_issue.(core) <- cy + 1;
+  note_issue t stats core ~slot cy pc instr;
+  true
+
+(* [count] cycles from [from] blocked on [reason] (class index [cls]):
+   bump the per-class counter, extend or open a stall episode, charge the
+   cycles to the blocked instruction's fiber ([slot]), and trace the
+   first cycle.  A traced run never fast-forwards, so every traced span
+   is one cycle long.  Returns [false], the result of a step that
+   stalled. *)
+let stall_span t stats core pc reason ~cls ~slot from count =
   (match reason with
-  | Telemetry.Stall.Operand -> stats.stall_operand <- stats.stall_operand + 1
+  | Telemetry.Stall.Operand -> stats.stall_operand <- stats.stall_operand + count
   | Telemetry.Stall.Queue_full _ ->
-    stats.stall_queue_full <- stats.stall_queue_full + 1
+    stats.stall_queue_full <- stats.stall_queue_full + count
   | Telemetry.Stall.Queue_empty _ ->
-    stats.stall_queue_empty <- stats.stall_queue_empty + 1);
-  let cls = Telemetry.Stall.class_index reason in
+    stats.stall_queue_empty <- stats.stall_queue_empty + count);
   if t.stall_run_class.(core) = cls then
-    t.stall_run_len.(core) <- t.stall_run_len.(core) + 1
+    t.stall_run_len.(core) <- t.stall_run_len.(core) + count
   else begin
     flush_stall_run t core;
     t.stall_run_class.(core) <- cls;
-    t.stall_run_len.(core) <- 1
+    t.stall_run_len.(core) <- count
   end;
-  let slot = fiber_slot t core pc in
-  t.fiber_stall.(slot) <- t.fiber_stall.(slot) + 1;
-  record_event t (Ev_stall { core; cycle = cy; pc; reason })
+  t.fiber_stall.(slot) <- t.fiber_stall.(slot) + count;
+  if t.tracing then
+    Telemetry.Ring.push t.trace (Ev_stall { core; cycle = from; pc; reason });
+  false
 
-(* An instruction issued at [pc]: close any stall episode and attribute
-   the cycle to its fiber. *)
-let note_issue t core pc =
-  flush_stall_run t core;
-  let slot = fiber_slot t core pc in
-  t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1
+(* The stepper's stall: one cycle at [cy]; returns [false]. *)
+let note_stall t core cy pc reason =
+  stall_span t t.stats.(core) core pc reason
+    ~cls:(Telemetry.Stall.class_index reason) ~slot:(fiber_slot t core pc) cy 1
 
 (** Attempt to issue the next instruction of [core] at cycle [cy].
     Returns [true] if an instruction issued. *)
@@ -401,11 +419,9 @@ let step_core t core cy =
   let operands_ready =
     List.for_all (fun r -> ready.(r) <= cy) (Isa.srcs instr)
   in
-  if not operands_ready then begin
-    note_stall t core cy pc Telemetry.Stall.Operand;
-    false
-  end
+  if not operands_ready then note_stall t core cy pc Telemetry.Stall.Operand
   else begin
+    let slot = fiber_slot t core pc in
     let finish_simple latency value_opt =
       (match (Isa.dst instr, value_opt) with
       | Some d, Some v ->
@@ -413,21 +429,14 @@ let step_core t core cy =
         ready.(d) <- cy + latency
       | Some _, None | None, Some _ -> assert false
       | None, None -> ());
-      t.pc.(core) <- pc + 1;
-      t.min_issue.(core) <- cy + 1;
-      stats.instrs <- stats.instrs + 1;
-      note_issue t core pc;
-      record_event t (Ev_issue { core; cycle = cy; pc; instr });
-      true
+      issue_next t stats core ~slot cy pc instr
     in
     let branch_to taken label =
       t.pc.(core) <-
         (if taken then prog.Program.label_pos.(label) else pc + 1);
       t.min_issue.(core) <-
         (cy + 1 + if taken then cfg.Config.branch_taken_penalty else 0);
-      stats.instrs <- stats.instrs + 1;
-      note_issue t core pc;
-      record_event t (Ev_issue { core; cycle = cy; pc; instr });
+      note_issue t stats core ~slot cy pc instr;
       true
     in
     match instr with
@@ -459,10 +468,8 @@ let step_core t core cy =
       finish_simple 1 None
     | Isa.Enq (q, sr) ->
       let qs = t.queues.(q) in
-      if Queue.length qs.items >= cfg.Config.queue_len then begin
-        note_stall t core cy pc (Telemetry.Stall.Queue_full q);
-        false
-      end
+      if Queue.length qs.items >= cfg.Config.queue_len then
+        note_stall t core cy pc (Telemetry.Stall.Queue_full q)
       else begin
         Queue.add (regs.(sr), cy + cfg.Config.transfer_latency) qs.items;
         qs.transfers <- qs.transfers + 1;
@@ -476,18 +483,14 @@ let step_core t core cy =
       | Some (v, visible_at) when visible_at <= cy ->
         ignore (Queue.pop qs.items);
         finish_simple cfg.Config.deq_latency (Some v)
-      | Some _ | None ->
-        note_stall t core cy pc (Telemetry.Stall.Queue_empty q);
-        false)
+      | Some _ | None -> note_stall t core cy pc (Telemetry.Stall.Queue_empty q))
     | Isa.Bz (r, l) -> branch_to (not (Types.value_is_true regs.(r))) l
     | Isa.Bnz (r, l) -> branch_to (Types.value_is_true regs.(r)) l
     | Isa.Jmp l -> branch_to true l
     | Isa.Halt ->
       t.halted.(core) <- true;
       stats.finished_at <- cy;
-      stats.instrs <- stats.instrs + 1;
-      note_issue t core pc;
-      record_event t (Ev_issue { core; cycle = cy; pc; instr });
+      note_issue t stats core ~slot cy pc instr;
       true
   end
 
@@ -614,9 +617,6 @@ let blockage_text ~blocked ~queues =
          queues);
   Buffer.contents b
 
-let describe_blockage t =
-  blockage_text ~blocked:(blocked_of t t.cycles) ~queues:(occupancies t)
-
 (** Human-readable rendering of a {!stuck} payload: the reason, every
     blocked core with its wait, per-queue occupancies, and — for
     deadlocks — the wait-for cycle when one exists. *)
@@ -740,15 +740,23 @@ let run_cycle t =
 (* The compiled engine.
 
    [specialize] translates each core's program once into a flat array of
-   closures, one per pc: operand checks are unrolled over the exact
-   source list, destinations/latencies/branch targets/queue endpoints/
-   fiber slots/stall reasons are resolved to direct array slots and
-   constants, and the per-issue / per-stall bookkeeping is pre-bound.
-   The hot path then executes [steps.(pc) cy] — no [Isa.srcs] list
-   allocation, no [List.for_all] closure, no inner [finish_simple]/
-   [branch_to] closures, no event-variant allocation when tracing is
-   off.  Every state mutation happens in the same order as [step_core],
-   so the engine inherits the cycle-exactness contract.
+   step closures, one per pc: operand checks are unrolled over the exact
+   source list, and destinations, latencies, branch targets, queue
+   endpoints, fiber slots and stall reasons with their class indices are
+   resolved to direct array slots and constants.  The hot path executes
+   [steps.(pc) cy], one indirect call per issue attempt: no [Isa.srcs]
+   list, no [List.for_all] closure, no event allocation when tracing is
+   off.  Every closure ends in the stepper's own bookkeeping
+   ([issue_next] / [note_issue], or [stall_span]), so every state
+   mutation happens in [step_core]'s order and the engine inherits the
+   cycle-exactness contract.
+
+   Next to the closures, [specialize] records data for the quiescent
+   path: per pc, the source registers and the queue [gate].  [ready_at]
+   reads the two: the cycle an instruction's operands and gate are ready,
+   ignoring [min_issue], or [max_int] when only another core's issue can
+   unblock it (an enqueue into a full queue, a dequeue from an empty
+   one).
 
    Cycles where an instruction issues are swept one by one (issue order,
    SMT arbitration and cache state must follow the stepper exactly).  A
@@ -756,26 +764,28 @@ let run_cycle t =
    eligible hardware thread was attempted by the round-robin arbiter (the
    shared issue slot was never consumed), so no [smt_wait] accrues, the
    round-robin cursors do not move, and queue contents, scoreboards and
-   program counters are all frozen.  Each blocked core then has a wake
-   cycle, the earliest cycle its issue conditions can change without
-   another core acting:
-   - [max min_issue operands_at] when no queue gates the instruction
-     ([operands_at] is the latest ready time among its sources);
-   - that, or the head's visible-at cycle if later, for a dequeue from a
-     non-empty queue;
-   - never, for an enqueue into a full queue or a dequeue from an empty
-     one: only another core's issue can unblock those.
-   The driver jumps to the earliest wake, clamped by the deadlock
-   deadline and the cycle budget.  Below the earliest wake, a blocked
-   core's skipped window [\[from, until)] splits into at most three
-   contiguous segments: branch-penalty wait while [cycle < min_issue],
-   operand stall while [cycle < operands_at], and the queue gate's stall
-   class for the rest.  Those are exactly the counters the stepper
-   would have bumped one cycle at a time; halted cores accrue
-   [idle_after_halt].
+   program counters are all frozen.  Each blocked core then wakes at
+   [max min_issue ready_at], the earliest cycle its issue conditions can
+   change without another core acting.  The driver jumps to the earliest
+   wake, clamped by the deadlock deadline and the cycle budget.  Below
+   it, a blocked core's skipped window [\[from, until)] splits into at
+   most three contiguous segments ([credit]): branch-penalty wait while
+   [cycle < min_issue], operand stall until the operands are ready, and
+   the queue gate's stall class for the rest.  Those are exactly the
+   counters the stepper would have bumped one cycle at a time; halted
+   cores accrue [idle_after_halt].  A traced run steps every cycle
+   instead, so its events come out in the stepper's order.
 
    The closures capture the arrays of ONE [t]; a [specialized] value is
    only valid for the instance it was built from. *)
+
+(* What an instruction waits on besides its operands.  A queue gate
+   carries its queue and the reason a blocked attempt stalls with. *)
+type gate =
+  | Free
+  | Enq_gate of queue_state * Telemetry.Stall.t  (** blocks while full *)
+  | Deq_gate of queue_state * Telemetry.Stall.t
+      (** blocks until the head is visible *)
 
 type specialized = {
   sp_for : t;  (** the instance the closures capture *)
@@ -784,18 +794,13 @@ type specialized = {
           result and side effects as [step_core].  The driver does the
           pc bounds check (and the off-the-end fault) itself, so the
           hot path is a single indirect call per attempt. *)
-  sp_wakes : (unit -> int) array array;
-      (** per logical core, per pc: the wake cycle of that instruction,
-          [max_int] when it cannot wake on its own *)
-  sp_cans : (int -> bool) array array;
-      (** per logical core, per pc: [issuable] with everything resolved —
-          the side-effect-free gate for a bundle's extra slots.  Not
-          derivable from [sp_wakes]: a wake folds in [min_issue], which
-          the slot-1 issue just pushed to [cy + 1]. *)
-  sp_credits : (int -> int -> unit) array array;
-      (** per logical core, per pc: [credit from until] credits the
-          quiescent window [\[from, until)] to that (non-halted) core as
-          its branch-wait / operand-stall / queue-stall segments *)
+  sp_srcs : int array array array;
+      (** per logical core, per pc: the source registers.  One entry
+          past the end of the code (no sources, gate [Free]) serves a
+          core whose pc ran off the end: it wakes at its [min_issue],
+          and a window credited to it is all branch wait (the next sweep
+          then raises the stepper's fault). *)
+  sp_gates : gate array array;  (** same indexing: the queue gate *)
   sp_threads : int array array;  (** physical core -> logical cores *)
   sp_identity : bool;
       (** identity core map: issue sweep order is core order and the
@@ -806,105 +811,53 @@ type specialized = {
           re-initialized by [run_compiled] *)
 }
 
+let operand = Telemetry.Stall.Operand
+let operand_cls = Telemetry.Stall.class_index operand
+
 let specialize t =
   let n = Array.length t.program.Program.cores in
   let cfg = t.config in
-  let tracing = t.tracing in
   let live = ref 0 in
   let compile_core core =
     let prog = t.program.Program.cores.(core) in
     let code = prog.Program.code in
     let regs = t.regs.(core) and ready = t.reg_ready.(core) in
     let stats = t.stats.(core) in
-    (* Every step closure ends by repeating [finish_simple]'s issue
-       bookkeeping inline — pc, min_issue, instrs, episode flush, fiber
-       counter, trace — because a shared closure would cost an indirect
-       call on every issued instruction.  The mutations are textually
-       duplicated across the arms but their order is the stepper's. *)
+    (* Every arm ends in the inlined [issue_next] / [note_issue]: a shared
+       closure would cost an indirect call on every issued instruction.
+       Stall paths call [stall_span] with the reason, its class index and
+       the fiber slot bound here, once per pc. *)
     let compile_at pc instr =
       let slot = fiber_slot t core pc in
-      (* [note_stall] with the reason, class index and counter pre-bound.
-         The stall path keeps one out-of-line closure per gate: it
-         touches an episode histogram anyway, so a call there is noise,
-         unlike the issue path above. *)
-      let stall reason =
-        let cls = Telemetry.Stall.class_index reason in
-        fun cy ->
-          (match reason with
-          | Telemetry.Stall.Operand ->
-            stats.stall_operand <- stats.stall_operand + 1
-          | Telemetry.Stall.Queue_full _ ->
-            stats.stall_queue_full <- stats.stall_queue_full + 1
-          | Telemetry.Stall.Queue_empty _ ->
-            stats.stall_queue_empty <- stats.stall_queue_empty + 1);
-          if t.stall_run_class.(core) = cls then
-            t.stall_run_len.(core) <- t.stall_run_len.(core) + 1
-          else begin
-            flush_stall_run t core;
-            t.stall_run_class.(core) <- cls;
-            t.stall_run_len.(core) <- 1
-          end;
-          t.fiber_stall.(slot) <- t.fiber_stall.(slot) + 1;
-          if tracing then
-            Telemetry.Ring.push t.trace
-              (Ev_stall { core; cycle = cy; pc; reason });
-          false
-      in
       match instr with
       | Isa.Li (d, v) ->
         fun cy ->
           regs.(d) <- v;
           ready.(d) <- cy + 1;
-          t.pc.(core) <- pc + 1;
-          t.min_issue.(core) <- cy + 1;
-          stats.instrs <- stats.instrs + 1;
-          if t.stall_run_class.(core) >= 0 then flush_stall_run t core;
-          t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1;
-          if tracing then
-            Telemetry.Ring.push t.trace (Ev_issue { core; cycle = cy; pc; instr });
-          true
+          issue_next t stats core ~slot cy pc instr
       | Isa.Mov (d, s) ->
-        let op_stall = stall Telemetry.Stall.Operand in
         fun cy ->
           if ready.(s) <= cy then begin
             regs.(d) <- regs.(s);
             ready.(d) <- cy + 1;
-            t.pc.(core) <- pc + 1;
-            t.min_issue.(core) <- cy + 1;
-            stats.instrs <- stats.instrs + 1;
-            if t.stall_run_class.(core) >= 0 then flush_stall_run t core;
-            t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1;
-            if tracing then
-              Telemetry.Ring.push t.trace
-                (Ev_issue { core; cycle = cy; pc; instr });
-            true
+            issue_next t stats core ~slot cy pc instr
           end
-          else op_stall cy
+          else stall_span t stats core pc operand ~cls:operand_cls ~slot cy 1
       | Isa.Un (op, d, s) ->
         let lat_i = Op_cost.unop_latency op Types.I64 in
         let lat_f = Op_cost.unop_latency op Types.F64 in
-        let op_stall = stall Telemetry.Stall.Operand in
         fun cy ->
           if ready.(s) <= cy then begin
             let v = regs.(s) in
             regs.(d) <- Types.apply_unop op v;
             ready.(d) <-
               (cy + match v with Types.VInt _ -> lat_i | Types.VFloat _ -> lat_f);
-            t.pc.(core) <- pc + 1;
-            t.min_issue.(core) <- cy + 1;
-            stats.instrs <- stats.instrs + 1;
-            if t.stall_run_class.(core) >= 0 then flush_stall_run t core;
-            t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1;
-            if tracing then
-              Telemetry.Ring.push t.trace
-                (Ev_issue { core; cycle = cy; pc; instr });
-            true
+            issue_next t stats core ~slot cy pc instr
           end
-          else op_stall cy
+          else stall_span t stats core pc operand ~cls:operand_cls ~slot cy 1
       | Isa.Bin (op, d, a, b) ->
         let lat_i = Op_cost.binop_latency op Types.I64 in
         let lat_f = Op_cost.binop_latency op Types.F64 in
-        let op_stall = stall Telemetry.Stall.Operand in
         fun cy ->
           if ready.(a) <= cy && ready.(b) <= cy then begin
             let va = regs.(a) in
@@ -912,39 +865,20 @@ let specialize t =
             ready.(d) <-
               (cy
               + match va with Types.VInt _ -> lat_i | Types.VFloat _ -> lat_f);
-            t.pc.(core) <- pc + 1;
-            t.min_issue.(core) <- cy + 1;
-            stats.instrs <- stats.instrs + 1;
-            if t.stall_run_class.(core) >= 0 then flush_stall_run t core;
-            t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1;
-            if tracing then
-              Telemetry.Ring.push t.trace
-                (Ev_issue { core; cycle = cy; pc; instr });
-            true
+            issue_next t stats core ~slot cy pc instr
           end
-          else op_stall cy
+          else stall_span t stats core pc operand ~cls:operand_cls ~slot cy 1
       | Isa.Sel (d, c, tr, fr) ->
-        let lat = Op_cost.select_latency in
-        let op_stall = stall Telemetry.Stall.Operand in
         fun cy ->
           if ready.(c) <= cy && ready.(tr) <= cy && ready.(fr) <= cy then begin
             regs.(d) <-
               (if Types.value_is_true regs.(c) then regs.(tr) else regs.(fr));
-            ready.(d) <- cy + lat;
-            t.pc.(core) <- pc + 1;
-            t.min_issue.(core) <- cy + 1;
-            stats.instrs <- stats.instrs + 1;
-            if t.stall_run_class.(core) >= 0 then flush_stall_run t core;
-            t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1;
-            if tracing then
-              Telemetry.Ring.push t.trace
-                (Ev_issue { core; cycle = cy; pc; instr });
-            true
+            ready.(d) <- cy + Op_cost.select_latency;
+            issue_next t stats core ~slot cy pc instr
           end
-          else op_stall cy
+          else stall_span t stats core pc operand ~cls:operand_cls ~slot cy 1
       | Isa.Load (d, arr, ir) ->
         let mem = t.memory.(arr) in
-        let op_stall = stall Telemetry.Stall.Operand in
         fun cy ->
           if ready.(ir) <= cy then begin
             let idx = int_of_reg t core ir in
@@ -952,312 +886,99 @@ let specialize t =
             let latency = load_latency t core arr idx in
             regs.(d) <- mem.(idx);
             ready.(d) <- cy + latency;
-            t.pc.(core) <- pc + 1;
-            t.min_issue.(core) <- cy + 1;
-            stats.instrs <- stats.instrs + 1;
-            if t.stall_run_class.(core) >= 0 then flush_stall_run t core;
-            t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1;
-            if tracing then
-              Telemetry.Ring.push t.trace
-                (Ev_issue { core; cycle = cy; pc; instr });
-            true
+            issue_next t stats core ~slot cy pc instr
           end
-          else op_stall cy
+          else stall_span t stats core pc operand ~cls:operand_cls ~slot cy 1
       | Isa.Store (arr, ir, sr) ->
         let mem = t.memory.(arr) in
-        let op_stall = stall Telemetry.Stall.Operand in
         fun cy ->
           if ready.(ir) <= cy && ready.(sr) <= cy then begin
             let idx = int_of_reg t core ir in
             check_idx t arr idx;
             mem.(idx) <- regs.(sr);
             store_effects t core arr idx;
-            t.pc.(core) <- pc + 1;
-            t.min_issue.(core) <- cy + 1;
-            stats.instrs <- stats.instrs + 1;
-            if t.stall_run_class.(core) >= 0 then flush_stall_run t core;
-            t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1;
-            if tracing then
-              Telemetry.Ring.push t.trace
-                (Ev_issue { core; cycle = cy; pc; instr });
-            true
+            issue_next t stats core ~slot cy pc instr
           end
-          else op_stall cy
+          else stall_span t stats core pc operand ~cls:operand_cls ~slot cy 1
       | Isa.Enq (q, sr) ->
         let qs = t.queues.(q) in
         let cap = cfg.Config.queue_len in
         let lat = cfg.Config.transfer_latency in
-        let op_stall = stall Telemetry.Stall.Operand in
-        let full = stall (Telemetry.Stall.Queue_full q) in
+        let full = Telemetry.Stall.Queue_full q in
+        let cls = Telemetry.Stall.class_index full in
         fun cy ->
           if ready.(sr) <= cy then
-            if Queue.length qs.items >= cap then full cy
+            if Queue.length qs.items >= cap then
+              stall_span t stats core pc full ~cls ~slot cy 1
             else begin
               Queue.add (regs.(sr), cy + lat) qs.items;
               qs.transfers <- qs.transfers + 1;
               qs.max_occupancy <- max qs.max_occupancy (Queue.length qs.items);
               Telemetry.Histogram.observe qs.occupancy (Queue.length qs.items);
-              t.pc.(core) <- pc + 1;
-              t.min_issue.(core) <- cy + 1;
-              stats.instrs <- stats.instrs + 1;
-              if t.stall_run_class.(core) >= 0 then flush_stall_run t core;
-              t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1;
-              if tracing then
-                Telemetry.Ring.push t.trace
-                  (Ev_issue { core; cycle = cy; pc; instr });
-              true
+              issue_next t stats core ~slot cy pc instr
             end
-          else op_stall cy
+          else stall_span t stats core pc operand ~cls:operand_cls ~slot cy 1
       | Isa.Deq (d, q) ->
         let qs = t.queues.(q) in
         let lat = cfg.Config.deq_latency in
-        let empty = stall (Telemetry.Stall.Queue_empty q) in
+        let empty = Telemetry.Stall.Queue_empty q in
+        let cls = Telemetry.Stall.class_index empty in
         fun cy ->
-          if Queue.is_empty qs.items then empty cy
+          if Queue.is_empty qs.items then
+            stall_span t stats core pc empty ~cls ~slot cy 1
           else
             let v, visible_at = Queue.peek qs.items in
             if visible_at <= cy then begin
               ignore (Queue.pop qs.items);
               regs.(d) <- v;
               ready.(d) <- cy + lat;
-              t.pc.(core) <- pc + 1;
-              t.min_issue.(core) <- cy + 1;
-              stats.instrs <- stats.instrs + 1;
-              if t.stall_run_class.(core) >= 0 then flush_stall_run t core;
-              t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1;
-              if tracing then
-                Telemetry.Ring.push t.trace
-                  (Ev_issue { core; cycle = cy; pc; instr });
-              true
+              issue_next t stats core ~slot cy pc instr
             end
-            else empty cy
-      | Isa.Bz (r, l) ->
+            else stall_span t stats core pc empty ~cls ~slot cy 1
+      | Isa.Bz (r, l) | Isa.Bnz (r, l) ->
         let target = prog.Program.label_pos.(l) in
         let pen = cfg.Config.branch_taken_penalty in
-        let op_stall = stall Telemetry.Stall.Operand in
+        let on_true = match instr with Isa.Bnz _ -> true | _ -> false in
         fun cy ->
           if ready.(r) <= cy then begin
-            let taken = not (Types.value_is_true regs.(r)) in
+            let taken = Types.value_is_true regs.(r) = on_true in
             t.pc.(core) <- (if taken then target else pc + 1);
             t.min_issue.(core) <- (cy + 1 + if taken then pen else 0);
-            stats.instrs <- stats.instrs + 1;
-            if t.stall_run_class.(core) >= 0 then flush_stall_run t core;
-            t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1;
-            if tracing then
-              Telemetry.Ring.push t.trace
-                (Ev_issue { core; cycle = cy; pc; instr });
+            note_issue t stats core ~slot cy pc instr;
             true
           end
-          else op_stall cy
-      | Isa.Bnz (r, l) ->
-        let target = prog.Program.label_pos.(l) in
-        let pen = cfg.Config.branch_taken_penalty in
-        let op_stall = stall Telemetry.Stall.Operand in
-        fun cy ->
-          if ready.(r) <= cy then begin
-            let taken = Types.value_is_true regs.(r) in
-            t.pc.(core) <- (if taken then target else pc + 1);
-            t.min_issue.(core) <- (cy + 1 + if taken then pen else 0);
-            stats.instrs <- stats.instrs + 1;
-            if t.stall_run_class.(core) >= 0 then flush_stall_run t core;
-            t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1;
-            if tracing then
-              Telemetry.Ring.push t.trace
-                (Ev_issue { core; cycle = cy; pc; instr });
-            true
-          end
-          else op_stall cy
+          else stall_span t stats core pc operand ~cls:operand_cls ~slot cy 1
       | Isa.Jmp l ->
         let target = prog.Program.label_pos.(l) in
         let pen = cfg.Config.branch_taken_penalty in
         fun cy ->
           t.pc.(core) <- target;
           t.min_issue.(core) <- cy + 1 + pen;
-          stats.instrs <- stats.instrs + 1;
-          if t.stall_run_class.(core) >= 0 then flush_stall_run t core;
-          t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1;
-          if tracing then
-            Telemetry.Ring.push t.trace (Ev_issue { core; cycle = cy; pc; instr });
+          note_issue t stats core ~slot cy pc instr;
           true
       | Isa.Halt ->
         fun cy ->
           t.halted.(core) <- true;
           decr live;
           stats.finished_at <- cy;
-          stats.instrs <- stats.instrs + 1;
-          if t.stall_run_class.(core) >= 0 then flush_stall_run t core;
-          t.fiber_issue.(slot) <- t.fiber_issue.(slot) + 1;
-          if tracing then
-            Telemetry.Ring.push t.trace (Ev_issue { core; cycle = cy; pc; instr });
+          note_issue t stats core ~slot cy pc instr;
           true
     in
-    (* The fast-forward side of the specialization: per pc, the wake
-       cycle and the window crediting described in the section header,
-       with the operand max, queue gate, stall reason, class index,
-       counter and fiber slot all baked in (no [Isa.srcs] list and no
-       stall-reason dispatch on the quiescent path). *)
-    let wake_at _pc instr =
-      let operands_at =
-        match Isa.srcs instr with
-        | [] -> fun () -> 0
-        | [ a ] -> fun () -> ready.(a)
-        | [ a; b ] ->
-          fun () ->
-            let x = ready.(a) and y = ready.(b) in
-            if x > y then x else y
-        | [ a; b; c ] ->
-          fun () ->
-            let x = ready.(a) and y = ready.(b) and z = ready.(c) in
-            max x (max y z)
-        | srcs -> fun () -> List.fold_left (fun acc r -> max acc ready.(r)) 0 srcs
-      in
-      let base () =
-        let m = t.min_issue.(core) and o = operands_at () in
-        if m > o then m else o
-      in
-      match instr with
-      | Isa.Enq (q, _) ->
-        let qs = t.queues.(q) in
-        let cap = cfg.Config.queue_len in
-        fun () -> if Queue.length qs.items >= cap then max_int else base ()
-      | Isa.Deq (_, q) ->
-        let qs = t.queues.(q) in
-        fun () ->
-          if Queue.is_empty qs.items then max_int
-          else
-            let _, visible_at = Queue.peek qs.items in
-            let b = base () in
-            if b > visible_at then b else visible_at
-      | _ -> base
+    let gate_of = function
+      | Isa.Enq (q, _) -> Enq_gate (t.queues.(q), Telemetry.Stall.Queue_full q)
+      | Isa.Deq (_, q) -> Deq_gate (t.queues.(q), Telemetry.Stall.Queue_empty q)
+      | _ -> Free
     in
-    (* [issuable] specialized per pc: operand readiness unrolled over the
-       exact source list plus the queue gate, no side effects.  Must
-       mirror the step closures' own issue conditions exactly — a [true]
-       here guarantees the step closure issues (records no stall). *)
-    let can_at _pc instr =
-      let operands_ready =
-        match Isa.srcs instr with
-        | [] -> fun _cy -> true
-        | [ a ] -> fun cy -> ready.(a) <= cy
-        | [ a; b ] -> fun cy -> ready.(a) <= cy && ready.(b) <= cy
-        | [ a; b; c ] ->
-          fun cy -> ready.(a) <= cy && ready.(b) <= cy && ready.(c) <= cy
-        | srcs -> fun cy -> List.for_all (fun r -> ready.(r) <= cy) srcs
-      in
-      match instr with
-      | Isa.Enq (q, _) ->
-        let qs = t.queues.(q) in
-        let cap = cfg.Config.queue_len in
-        fun cy -> operands_ready cy && Queue.length qs.items < cap
-      | Isa.Deq (_, q) ->
-        let qs = t.queues.(q) in
-        fun cy ->
-          (match Queue.peek_opt qs.items with
-          | Some (_, visible_at) -> visible_at <= cy
-          | None -> false)
-      | _ -> operands_ready
-    in
-    let credit_at pc instr =
-      let slot = fiber_slot t core pc in
-      let cls_op = Telemetry.Stall.class_index Telemetry.Stall.Operand in
-      let operands_at =
-        match Isa.srcs instr with
-        | [] -> fun () -> 0
-        | [ a ] -> fun () -> ready.(a)
-        | [ a; b ] ->
-          fun () ->
-            let x = ready.(a) and y = ready.(b) in
-            if x > y then x else y
-        | [ a; b; c ] ->
-          fun () ->
-            let x = ready.(a) and y = ready.(b) and z = ready.(c) in
-            max x (max y z)
-        | srcs -> fun () -> List.fold_left (fun acc r -> max acc ready.(r)) 0 srcs
-      in
-      (* The operand segment: [note_stall] applied [count] times, with
-         everything resolved and one [Ev_stall] per skipped cycle when
-         tracing.  [m] is the segment's first cycle. *)
-      let operand_seg count m =
-        stats.stall_operand <- stats.stall_operand + count;
-        if t.stall_run_class.(core) = cls_op then
-          t.stall_run_len.(core) <- t.stall_run_len.(core) + count
-        else begin
-          flush_stall_run t core;
-          t.stall_run_class.(core) <- cls_op;
-          t.stall_run_len.(core) <- count
-        end;
-        t.fiber_stall.(slot) <- t.fiber_stall.(slot) + count;
-        if tracing then
-          for i = 0 to count - 1 do
-            Telemetry.Ring.push t.trace
-              (Ev_stall
-                 { core; cycle = m + i; pc; reason = Telemetry.Stall.Operand })
-          done
-      in
-      match instr with
-      | Isa.Enq (q, _) | Isa.Deq (_, q) ->
-        let reason =
-          match instr with
-          | Isa.Enq _ -> Telemetry.Stall.Queue_full q
-          | _ -> Telemetry.Stall.Queue_empty q
-        in
-        let cls_q = Telemetry.Stall.class_index reason in
-        let is_full = match instr with Isa.Enq _ -> true | _ -> false in
-        fun from until ->
-          let clamp x =
-            if x < from then from else if x > until then until else x
-          in
-          let m = clamp t.min_issue.(core) in
-          let r =
-            let o = clamp (operands_at ()) in
-            if o < m then m else o
-          in
-          stats.branch_wait <- stats.branch_wait + (m - from);
-          if r > m then operand_seg (r - m) m;
-          if until > r then begin
-            let count = until - r in
-            if is_full then
-              stats.stall_queue_full <- stats.stall_queue_full + count
-            else stats.stall_queue_empty <- stats.stall_queue_empty + count;
-            if t.stall_run_class.(core) = cls_q then
-              t.stall_run_len.(core) <- t.stall_run_len.(core) + count
-            else begin
-              flush_stall_run t core;
-              t.stall_run_class.(core) <- cls_q;
-              t.stall_run_len.(core) <- count
-            end;
-            t.fiber_stall.(slot) <- t.fiber_stall.(slot) + count;
-            if tracing then
-              for i = 0 to count - 1 do
-                Telemetry.Ring.push t.trace
-                  (Ev_stall { core; cycle = r + i; pc; reason })
-              done
-          end
-      | _ ->
-        fun from until ->
-          let clamp x =
-            if x < from then from else if x > until then until else x
-          in
-          let m = clamp t.min_issue.(core) in
-          let r =
-            let o = clamp (operands_at ()) in
-            if o < m then m else o
-          in
-          stats.branch_wait <- stats.branch_wait + (m - from);
-          if r > m then operand_seg (r - m) m;
-          (* only queue gates leave a third segment *)
-          assert (until <= r)
-    in
-    (Array.mapi compile_at code, Array.mapi wake_at code,
-     Array.mapi can_at code, Array.mapi credit_at code)
+    ( Array.mapi compile_at code,
+      Array.append (Array.map (fun i -> Array.of_list (Isa.srcs i)) code) [| [||] |],
+      Array.append (Array.map gate_of code) [| Free |] )
   in
   let compiled = Array.init n compile_core in
   {
     sp_for = t;
-    sp_steps = Array.map (fun (s, _, _, _) -> s) compiled;
-    sp_wakes = Array.map (fun (_, w, _, _) -> w) compiled;
-    sp_cans = Array.map (fun (_, _, c, _) -> c) compiled;
-    sp_credits = Array.map (fun (_, _, _, c) -> c) compiled;
+    sp_steps = Array.map (fun (s, _, _) -> s) compiled;
+    sp_srcs = Array.map (fun (_, s, _) -> s) compiled;
+    sp_gates = Array.map (fun (_, _, g) -> g) compiled;
     sp_threads = Array.map Array.of_list t.threads_of;
     sp_identity =
       (let id = ref (Array.length t.core_map = n) in
@@ -1266,13 +987,62 @@ let specialize t =
     sp_live = live;
   }
 
-(* [issue_rest] over the specialized closures: the same continuation
-   rule, with [sp_cans] standing in for [issuable]. *)
+(* The latest ready cycle among the sources of [core]'s instruction at
+   [pc]; 0 when it has none. *)
+let operands_at t spec core pc =
+  let ready = t.reg_ready.(core) and srcs = spec.sp_srcs.(core).(pc) in
+  let at = ref 0 in
+  for i = 0 to Array.length srcs - 1 do
+    let r = ready.(srcs.(i)) in
+    if r > !at then at := r
+  done;
+  !at
+
+(* The cycle from which [core]'s instruction at [pc] has its operands and
+   its queue gate ready, ignoring [min_issue]; [max_int] when only
+   another core's issue can unblock it.  No side effects: [ready_at <=
+   cy] is the gate for a bundle's extra slots, where a refusal must not
+   record a stall, and [max min_issue ready_at] is a quiescent core's
+   wake. *)
+let ready_at t spec core pc =
+  let at = operands_at t spec core pc in
+  match spec.sp_gates.(core).(pc) with
+  | Free -> at
+  | Enq_gate (qs, _) ->
+    if Queue.length qs.items >= t.config.Config.queue_len then max_int else at
+  | Deq_gate (qs, _) ->
+    if Queue.is_empty qs.items then max_int
+    else Int.max at (snd (Queue.peek qs.items))
+
+(* Credit the quiescent window [\[from, until)], which ends no later than
+   its wake, to the non-halted [core] at [pc]: branch wait below
+   [min_issue], operand stall until the operands are ready, and the
+   queue gate's stall for the rest. *)
+let credit t spec core pc from until =
+  let stats = t.stats.(core) in
+  let clamp x = Int.min until (Int.max from x) in
+  let m = clamp t.min_issue.(core) in
+  let r = Int.max m (clamp (operands_at t spec core pc)) in
+  stats.branch_wait <- stats.branch_wait + (m - from);
+  if r > m then
+    ignore
+      (stall_span t stats core pc operand ~cls:operand_cls
+         ~slot:(fiber_slot t core pc) m (r - m));
+  if until > r then
+    match spec.sp_gates.(core).(pc) with
+    | Enq_gate (_, reason) | Deq_gate (_, reason) ->
+      ignore
+        (stall_span t stats core pc reason
+           ~cls:(Telemetry.Stall.class_index reason)
+           ~slot:(fiber_slot t core pc) r (until - r))
+    | Free -> assert false (* only a queue gate leaves a third segment *)
+
+(* [issue_rest] over the specialized steps: the same continuation rule,
+   with [ready_at] standing in for [issuable]. *)
 let issue_rest_compiled t spec core cy ~prev_pc =
   let width = t.config.Config.issue_width in
   let stats = t.stats.(core) in
   let steps = spec.sp_steps.(core) in
-  let cans = spec.sp_cans.(core) in
   let len = Array.length steps in
   let prev = ref prev_pc in
   let slot = ref 1 in
@@ -1284,7 +1054,7 @@ let issue_rest_compiled t spec core cy ~prev_pc =
       && pcn = !prev + 1
       && t.min_issue.(core) = cy + 1
       && pcn < len
-      && cans.(pcn) cy
+      && ready_at t spec core pcn <= cy
     then
       if steps.(pcn) cy then begin
         stats.dual_issued <- stats.dual_issued + 1;
@@ -1368,13 +1138,11 @@ let step_cycle_compiled t spec attempted cy =
   !progressed
 
 (** The compiled engine's driver: cycles that issue are swept over the
-    pre-compiled per-core steps, and quiescent cycles fast-forward to the
-    earliest wake (clamped by the deadlock deadline and the cycle budget)
-    with the wake and crediting math served by the specialized closures.
-    A core whose pc ran off the end of its code has no gate and no
-    operand wait, so its wake is [min_issue] and any credited window is
-    all branch wait (the next sweep then raises the same fault the
-    stepper would). *)
+    pre-compiled per-core steps, and an untraced run fast-forwards
+    quiescent cycles to the earliest wake (clamped by the deadlock
+    deadline and the cycle budget), crediting the skipped window to every
+    core.  A traced run steps every cycle, so its events keep the
+    stepper's order. *)
 let run_compiled t spec =
   if spec.sp_for != t then
     invalid_arg "Sim.run: specialized value belongs to a different sim";
@@ -1398,42 +1166,34 @@ let run_compiled t spec =
     else begin
       if !cy - !last_progress > deadlock_window then
         raise (Stuck (snapshot t (Deadlock { window = deadlock_window })));
-      let wake = ref max_int in
-      for core = 0 to n - 1 do
-        if not t.halted.(core) then begin
-          let wakes = spec.sp_wakes.(core) in
-          let pc = t.pc.(core) in
-          let w =
-            if pc >= Array.length wakes then t.min_issue.(core)
-            else wakes.(pc) ()
-          in
-          if w < !wake then wake := w
-        end
-      done;
-      (* The machine is quiescent: nothing can change before the earliest
-         wake, the deadlock deadline, or the cycle budget — whichever
-         comes first ([max_int] = no core can wake on its own).  Every
-         wake is > [cy] (an issuable core would have issued or faulted in
-         the sweep above), so the jump always moves forward. *)
-      let deadline = !last_progress + deadlock_window + 1 in
-      let target = min (min !wake deadline) max_cycles in
-      assert (target > !cy);
-      let from = !cy + 1 in
-      if target > from then
+      if t.tracing then incr cy
+      else begin
+        let wake = ref max_int in
         for core = 0 to n - 1 do
-          if t.halted.(core) then
-            t.stats.(core).idle_after_halt <-
-              t.stats.(core).idle_after_halt + (target - from)
-          else begin
-            let credits = spec.sp_credits.(core) in
-            let pc = t.pc.(core) in
-            if pc >= Array.length credits then
-              t.stats.(core).branch_wait <-
-                t.stats.(core).branch_wait + (target - from)
-            else credits.(pc) from target
+          if not t.halted.(core) then begin
+            let w = Int.max t.min_issue.(core) (ready_at t spec core t.pc.(core)) in
+            if w < !wake then wake := w
           end
         done;
-      cy := target
+        (* The machine is quiescent: nothing can change before the
+           earliest wake, the deadlock deadline, or the cycle budget —
+           whichever comes first ([max_int] = no core can wake on its
+           own).  Every wake is > [cy] (an issuable core would have issued
+           or faulted in the sweep above), so the jump always moves
+           forward. *)
+        let deadline = !last_progress + deadlock_window + 1 in
+        let target = Int.min (Int.min !wake deadline) max_cycles in
+        assert (target > !cy);
+        let from = !cy + 1 in
+        if target > from then
+          for core = 0 to n - 1 do
+            if t.halted.(core) then
+              t.stats.(core).idle_after_halt <-
+                t.stats.(core).idle_after_halt + (target - from)
+            else credit t spec core t.pc.(core) from target
+          done;
+        cy := target
+      end
     end
   done;
   for core = 0 to n - 1 do

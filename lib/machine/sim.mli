@@ -27,8 +27,8 @@ module Telemetry = Finepar_telemetry
 
 module Engine = Engine
 (** Engine selection for {!run}: the reference cycle stepper, or the
-    compiled engine (pre-specialized closures with quiescent
-    fast-forward). *)
+    compiled engine (pre-specialized step closures, with quiescent
+    fast-forward when not tracing). *)
 
 (** What a non-halted core is waiting on when the simulator gives up. *)
 type wait =
@@ -141,8 +141,6 @@ type t = {
   fiber_stall : int array;
 }
 
-val default_trace_capacity : int
-
 val create :
   ?tracing:bool ->
   ?trace_capacity:int ->
@@ -150,51 +148,33 @@ val create :
   config:Config.t ->
   initial:(string * Finepar_ir.Types.value array) list ->
   Program.t -> t
+(** A machine ready to run [program] from cycle 0.  When [tracing], a
+    ring of [trace_capacity] (default 65536) events keeps the most recent
+    ones. *)
 
-val addr_of : t -> int -> int -> int
 val load_latency : t -> int -> int -> int -> int
-val store_effects : t -> int -> int -> int -> unit
-val check_idx : t -> int -> int -> unit
-val int_of_reg : t -> int -> int -> int
-val record_event : t -> event -> unit
-val step_core : t -> int -> int -> bool
-
-val issuable : t -> int -> int -> bool
-(** [issuable t core cy]: whether [core]'s next instruction would issue
-    at [cy] — the side-effect-free gate for a bundle's extra slots. *)
-
-val all_halted : t -> bool
 
 val occupancies : t -> queue_occupancy list
 (** Occupancy of every queue right now. *)
-
-val blocked_of : t -> int -> blocked_core list
-(** [blocked_of t cy]: every non-halted core with the instruction it is
-    blocked on at cycle [cy], waits classified as in [step_core]. *)
 
 val wait_for_cycle : stuck -> blocked_core list option
 (** The dynamic wait-for cycle among blocked cores, if one exists: a
     core blocked on an empty queue waits for the queue's source core, a
     core blocked on a full queue waits for its destination core. *)
 
-val describe_blockage : t -> string
-(** Blocked cores (with their waits) and per-queue occupancies as a
-    single readable line. *)
-
 val stuck_message : stuck -> string
 (** Human-readable rendering of a {!stuck} payload: reason, blocked
     cores, queue occupancies, and the wait-for cycle for deadlocks. *)
 
-val pp_wait : Format.formatter -> wait -> unit
-val pp_blocked_core : Format.formatter -> blocked_core -> unit
-val pp_queue_occupancy : Format.formatter -> queue_occupancy -> unit
-
 type specialized
 (** A sim instance's program pre-compiled for {!Engine.Compiled}: per
-    core, a flat array of closures (one per pc) with operand checks
+    core, a flat array of step closures (one per pc) with operand checks
     unrolled and destinations, latencies, branch targets, queue
     endpoints, fiber slots and stall reasons resolved to direct slots
-    and constants.  Valid only for the instance it was built from. *)
+    and constants; and, per pc, the source registers and the queue gate,
+    from which a quiescent core's wake and the crediting of a skipped
+    window are computed.  Valid only for the instance it was built
+    from. *)
 
 val specialize : t -> specialized
 (** Compile [t]'s program into {!specialized} form.  O(total
@@ -205,7 +185,8 @@ val run : ?engine:Engine.t -> ?specialized:specialized -> t -> int
 (** Run to completion under the selected engine ([Engine.default], the
     compiled engine, when omitted); returns the final cycle count.  Both
     engines are cycle-exact to each other: identical cycle counts,
-    architectural outputs, telemetry, and {!Stuck} payloads.
+    architectural outputs, telemetry, trace events (in order) and
+    {!Stuck} payloads.
     [specialized] is only consulted by {!Engine.Compiled} (which
     otherwise calls {!specialize} itself) and must come from
     {!specialize} on this same [t] — [Invalid_argument] otherwise. *)

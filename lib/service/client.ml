@@ -48,41 +48,6 @@ let read_response ic =
   | Server.Bad_header line ->
     failwith (Printf.sprintf "service: bad frame header %S from server" line)
 
-let exec_socket ?attempts path payload =
-  let sock = connect ?attempts path in
-  let ic = Unix.in_channel_of_descr sock in
-  let oc = Unix.out_channel_of_descr sock in
-  Fun.protect
-    ~finally:(fun () ->
-      close_out_noerr oc;
-      close_in_noerr ic)
-    (fun () ->
-      Server.write_frame oc payload;
-      read_response ic)
-
-(* One frame out, one frame in; the response payload is returned as
-   raw bytes so callers can byte-compare or persist it unchanged. *)
-let exec_frame ?pool ?attempts via payload =
-  match via with
-  | Socket path -> exec_socket ?attempts path payload
-  | Store dir ->
-    let server = Server.create ?pool ~cache:(Cache.create dir) () in
-    Server.handle_frame server payload
-
-let exec_strings ?pool ?attempts via reqs =
-  let payload =
-    exec_frame ?pool ?attempts via (Wire.batch_to_string reqs)
-  in
-  match Wire.responses_of_string payload with
-  | _ ->
-    (* Re-split without re-rendering: items of a canonical batch are
-       themselves canonical. *)
-    List.map Finepar_fuzz.Repro.canon (Wire.batch_items_of_string payload)
-  | exception _ -> failwith ("service: bad response payload: " ^ payload)
-
-let exec ?pool ?attempts via reqs =
-  List.map Wire.response_of_string (exec_strings ?pool ?attempts via reqs)
-
 (* ------------------------------------------------------------------ *)
 (* Sessions: one cache handle (Store) or one connection (Socket) that
    persists across many batches, so a generational search reuses the
@@ -121,7 +86,10 @@ let session_frame session payload =
 let session_exec_strings session reqs =
   let payload = session_frame session (Wire.batch_to_string reqs) in
   match Wire.responses_of_string payload with
-  | _ -> List.map Finepar_fuzz.Repro.canon (Wire.batch_items_of_string payload)
+  | _ ->
+    (* Re-split without re-rendering: items of a canonical batch are
+       themselves canonical. *)
+    List.map Finepar_fuzz.Repro.canon (Wire.batch_items_of_string payload)
   | exception _ -> failwith ("service: bad response payload: " ^ payload)
 
 let session_exec session reqs =
@@ -138,3 +106,9 @@ let session_counters session =
 let with_session ?pool ?attempts via f =
   let session = open_session ?pool ?attempts via in
   Fun.protect ~finally:(fun () -> close_session session) (fun () -> f session)
+
+let exec_strings ?pool ?attempts via reqs =
+  with_session ?pool ?attempts via (fun s -> session_exec_strings s reqs)
+
+let exec ?pool ?attempts via reqs =
+  with_session ?pool ?attempts via (fun s -> session_exec s reqs)

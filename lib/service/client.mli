@@ -10,12 +10,41 @@ val via_of_string : string -> (via, string) result
 
 val via_to_string : via -> string
 
-val exec_frame :
-  ?pool:Finepar_exec.Pool.t -> ?attempts:int -> via -> string -> string
+(** {2 Sessions}
+
+    A session keeps one cache handle ([Store]) or one connection
+    ([Socket]) alive across many batches, so multi-batch drivers — the
+    generational autotune search above all — reuse the same store and
+    the same socket frame-after-frame instead of reopening per batch. *)
+
+type session
+
+val with_session :
+  ?pool:Finepar_exec.Pool.t ->
+  ?attempts:int ->
+  via ->
+  (session -> 'a) ->
+  'a
+(** Opens a session, runs the callback, closes on all paths.  [pool]
+    parallelizes the in-process [Store] path; [attempts] (default 50,
+    0.1 s apart) retries the socket connection while the server is still
+    binding. *)
+
+val session_frame : session -> string -> string
 (** One frame out, one frame in, raw payload bytes both ways (callers
-    byte-compare or persist them unchanged).  [pool] parallelizes the
-    in-process [Store] path; [attempts] (default 50, 0.1 s apart)
-    retries the socket connection while the server is still binding. *)
+    byte-compare or persist them unchanged). *)
+
+val session_exec : session -> Wire.request list -> Wire.response list
+(** Send a batch; the responses, one per request, in order. *)
+
+val session_counters : session -> (string * int) list
+(** The cache hit/miss counters this session observes: the store
+    handle's own counters ([Store], invocation lifetime) or a [Stats]
+    round-trip ([Socket], server lifetime). *)
+
+(** {2 One batch}
+
+    A session opened for one batch and closed again. *)
 
 val exec_strings :
   ?pool:Finepar_exec.Pool.t ->
@@ -33,37 +62,3 @@ val exec :
   Wire.request list ->
   Wire.response list
 (** Like {!exec_strings}, parsed. *)
-
-(** {2 Sessions}
-
-    A session keeps one cache handle ([Store]) or one connection
-    ([Socket]) alive across many batches, so multi-batch drivers — the
-    generational autotune search above all — reuse the same store and
-    the same socket frame-after-frame instead of reopening per batch.
-    Responses are byte-identical to the per-batch functions. *)
-
-type session
-
-val open_session :
-  ?pool:Finepar_exec.Pool.t -> ?attempts:int -> via -> session
-(** [pool] parallelizes the in-process [Store] path; [attempts] is the
-    socket-connect retry count (as in {!exec_frame}). *)
-
-val close_session : session -> unit
-(** Closes the socket connection; a no-op for [Store]. *)
-
-val session_exec_strings : session -> Wire.request list -> string list
-val session_exec : session -> Wire.request list -> Wire.response list
-
-val session_counters : session -> (string * int) list
-(** The cache hit/miss counters this session observes: the store
-    handle's own counters ([Store], invocation lifetime) or a [Stats]
-    round-trip ([Socket], server lifetime). *)
-
-val with_session :
-  ?pool:Finepar_exec.Pool.t ->
-  ?attempts:int ->
-  via ->
-  (session -> 'a) ->
-  'a
-(** Opens a session, runs the callback, closes on all paths. *)

@@ -18,6 +18,8 @@
      equality, including the cycle the simulator gave up at);
    - a latency-dominated pipeline where almost the whole run is
      fast-forwarded, checking every per-core counter survives the jump;
+   - traced runs: the same event list, in the same order, under both
+     engines (a traced run steps every cycle);
    - specialization edge cases for the compiled engine: indirect
      addressing (including the out-of-bounds fault payload), data-
      dependent trip counts, the staggered halt handshake, and the
@@ -341,6 +343,59 @@ let test_fast_forward_counters () =
         (Types.value_equal (Sim.reg_value sim_c 1 1) (Sim.reg_value sim_e 1 1));
       Helpers.check_accounting ("fast-forward (" ^ name ^ ")") sim_e)
     (List.filter (fun e -> e <> Engine.Cycle) engines)
+
+(* A traced run records the same events in the same order under both
+   engines: [Sim.events] promises oldest first, and the ring keeps a
+   suffix of that order once it overflows.  A high transfer latency with
+   short queues leaves long quiescent windows, with every core blocked,
+   that the untraced compiled engine would skip; the SMT placement adds
+   arbitration losses to them.  The ring is sized so nothing drops. *)
+let test_traced_event_order () =
+  let entry =
+    List.find
+      (fun (e : Registry.entry) -> e.Registry.kernel.Kernel.name = "lammps-3")
+      Registry.all
+  in
+  let machine =
+    { (Config.with_transfer_latency 100 Config.default) with
+      Config.queue_len = 2
+    }
+  in
+  let c =
+    Compiler.compile
+      { (Compiler.default_config ~cores:4 ()) with Compiler.machine }
+      entry.Registry.kernel
+  in
+  let n_threads =
+    Array.length
+      c.Compiler.code.Finepar_codegen.Lower.program.Finepar_machine.Program.cores
+  in
+  let smt = Array.init n_threads (fun i -> i mod max 1 (n_threads / 2)) in
+  List.iter
+    (fun (what, core_map) ->
+      let events engine =
+        let _, sim =
+          Runner.run_with_sim ~workload:entry.Registry.workload ?core_map
+            ~tracing:true ~trace_capacity:(1 lsl 21) ~engine c
+        in
+        Alcotest.(check int) (what ^ ": nothing dropped") 0
+          (Sim.dropped_events sim);
+        Array.of_list (Sim.events sim)
+      in
+      let ref_evs = events Engine.Cycle in
+      let cmp_evs = events Engine.Compiled in
+      let n = min (Array.length ref_evs) (Array.length cmp_evs) in
+      let i = ref 0 in
+      while !i < n && compare ref_evs.(!i) cmp_evs.(!i) = 0 do
+        incr i
+      done;
+      Alcotest.(check int)
+        (what ^ ": events equal up to the first mismatch")
+        (Array.length ref_evs) !i;
+      Alcotest.(check int)
+        (what ^ ": event counts equal")
+        (Array.length ref_evs) (Array.length cmp_evs))
+    [ ("lammps-3 latency=100 queue-len=2", None); ("same, SMT", Some smt) ]
 
 let test_engine_names () =
   List.iter
@@ -757,6 +812,8 @@ let () =
         [
           Alcotest.test_case "latency-dominated pipeline" `Quick
             test_fast_forward_counters;
+          Alcotest.test_case "traced runs step every cycle" `Quick
+            test_traced_event_order;
           Alcotest.test_case "engine names" `Quick test_engine_names;
         ] );
       ( "specialize",
