@@ -109,6 +109,23 @@ let machine_of ?(issue_width = 1) ~latency ~queue_len () =
     issue_width;
   }
 
+(* The job the single-kernel subcommands ([run], [report], [trace],
+   [profile]) measure: a registry kernel on its fixed workload. *)
+let registry_job ?(issue_width = 1) ?(comm = Finepar_transform.Comm.Queues)
+    ~name ~cores ~latency ~queue_len ~speculation ~throughput () =
+  let e = find_entry name in
+  let config =
+    {
+      (Compiler.default_config ~cores ()) with
+      Compiler.speculation;
+      throughput;
+      comm_mode = comm;
+    }
+  in
+  Job.make
+    ~machine:(machine_of ~issue_width ~latency ~queue_len ())
+    ~config ~workload:e.Registry.workload ~cores e.Registry.kernel
+
 (* ------------------------------------------------------------------ *)
 (* Service routing: with --via, sweep/autotune/report/fuzz-replay send
    their jobs through the content-addressed result cache, in-process
@@ -295,29 +312,26 @@ let run_cmd =
   let run name cores latency queue_len speculation throughput issue_width comm
       engine trace_out profile =
     with_tracing ~trace_out ~profile @@ fun () ->
-    let e = find_entry name in
-    let machine = machine_of ~issue_width ~latency ~queue_len () in
-    let config =
-      {
-        (Compiler.default_config ~cores ()) with
-        Compiler.speculation;
-        throughput;
-        comm_mode = comm;
-        machine;
-      }
+    let job =
+      registry_job ~issue_width ~comm ~name ~cores ~latency ~queue_len
+        ~speculation ~throughput ()
     in
-    let seq, par, s =
+    (* {!Job.speedup}'s protocol, with the parallel compile kept so the
+       stats printed are those of the compile that was measured. *)
+    let seq, c, par =
       with_evaluator ~engine None @@ fun evaluator ->
-      Job.speedup evaluator
-        (Job.make ~machine ~config ~workload:e.Registry.workload ~cores
-           e.Registry.kernel)
+      let seq, profile_counters = Job.profile evaluator job in
+      let job = { job with Job.profile_counters } in
+      try
+        let c = Job.compile job in
+        (seq, c, (Job.run ~engine job c).Runner.cycles)
+      with e -> raise (Job.Failed (Printexc.to_string e))
     in
-    let c = Compiler.compile config e.Registry.kernel in
     Fmt.pr "kernel      %s@." name;
     Fmt.pr "sequential  %d cycles@." seq;
     Fmt.pr "parallel    %d cycles on %d cores@." par
       c.Compiler.stats.Compiler.n_partitions;
-    Fmt.pr "speedup     %.2f@." s;
+    Fmt.pr "speedup     %.2f@." (float_of_int seq /. float_of_int par);
     Fmt.pr "stats       %a@." Compiler.pp_stats c.Compiler.stats;
     Fmt.pr "result      verified bit-exact against the reference evaluator@."
   in
@@ -446,35 +460,33 @@ let with_output file f =
     Fmt.pr "wrote %s@." file
   end
 
-let compile_and_sim ?(issue_width = 1) ?(comm = Finepar_transform.Comm.Queues)
-    ~name ~cores ~latency ~queue_len ~speculation ~throughput ~tracing ~engine
-    () =
-  let e = find_entry name in
-  let machine = machine_of ~issue_width ~latency ~queue_len () in
-  let config =
-    {
-      (Compiler.default_config ~cores ()) with
-      Compiler.speculation;
-      throughput;
-      comm_mode = comm;
-      machine;
-    }
+let compile_and_sim ?issue_width ?comm ~name ~cores ~latency ~queue_len
+    ~speculation ~throughput ~tracing ~engine () =
+  let job =
+    registry_job ?issue_width ?comm ~name ~cores ~latency ~queue_len
+      ~speculation ~throughput ()
   in
-  let c = Compiler.compile config e.Registry.kernel in
-  let run, sim =
-    Runner.run_with_sim ~tracing ~engine ~workload:e.Registry.workload c
-  in
-  (c, run, sim)
+  Runner.run_with_sim ~tracing ~engine
+    ~workload:(find_entry name).Registry.workload (Job.compile job)
+
+(* Run [f] under a fresh installed tracer; its spans are the host lane
+   of [trace] and the tree of [profile]. *)
+let with_host_tracer f =
+  let tracer = Finepar_telemetry.Tracer.create () in
+  Finepar_telemetry.Tracer.install tracer;
+  let v = Fun.protect ~finally:Finepar_telemetry.Tracer.uninstall f in
+  (v, tracer)
 
 let trace_cmd =
   let run name cores latency queue_len speculation throughput issue_width comm
       engine output =
-    let c, _, sim =
+    let (_, sim), tracer =
+      with_host_tracer @@ fun () ->
       compile_and_sim ~issue_width ~comm ~name ~cores ~latency ~queue_len
         ~speculation ~throughput ~tracing:true ~engine ()
     in
     let events =
-      Report.chrome_trace ~pass_times:c.Compiler.pass_times sim
+      Report.chrome_trace sim @ Finepar_telemetry.Tracer.to_chrome tracer
     in
     with_output output (fun oc ->
         Finepar_telemetry.Chrome_trace.to_channel oc events);
@@ -490,7 +502,8 @@ let trace_cmd =
        ~doc:
          "Simulate one kernel and export a Chrome trace_event timeline \
           (open in chrome://tracing or Perfetto): one lane per core, an \
-          occupancy counter per queue, and a compiler-pass lane")
+          occupancy counter per queue, and a host lane (pid 3) with the \
+          compile span, its pass spans and the simulator run")
     Term.(
       const run $ kernel_arg $ cores_arg $ latency_arg $ queue_len_arg
       $ speculation_arg $ throughput_arg $ issue_width_arg $ comm_arg
@@ -503,34 +516,17 @@ let report_cmd =
   in
   let run name cores latency queue_len speculation throughput issue_width comm
       engine via format output =
+    let job =
+      registry_job ~issue_width ~comm ~name ~cores ~latency ~queue_len
+        ~speculation ~throughput ()
+    in
+    (* One job, evaluated in process or through the cache: the report
+       is guest data only, so every format is the same bytes either
+       way; CI compares them. *)
     let t =
       match via with
-      | None ->
-        let _, r, _ =
-          compile_and_sim ~issue_width ~comm ~name ~cores ~latency ~queue_len
-            ~speculation ~throughput ~tracing:false ~engine ()
-        in
-        r.Runner.telemetry
+      | None -> (Job.eval ~engine job).Runner.telemetry
       | Some via ->
-        (* Through the cache.  The report is bit-identical except that
-           pass_times never crosses the wire (wall-clock noise), so the
-           csv format — which only covers deterministic metrics — byte-
-           matches the direct path; CI relies on that. *)
-        let e = find_entry name in
-        let machine = machine_of ~issue_width ~latency ~queue_len () in
-        let config =
-          {
-            (Compiler.default_config ~cores ()) with
-            Compiler.speculation;
-            throughput;
-            comm_mode = comm;
-            machine;
-          }
-        in
-        let job =
-          Job.make ~machine ~config ~workload:e.Registry.workload ~cores
-            e.Registry.kernel
-        in
         with_via via @@ fun ~exec ~counters:_ ->
         match exec [ Wire.Run { job; engine } ] with
         | [ Wire.Run_result p ] -> p.Wire.report
@@ -559,7 +555,8 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:
          "Per-core, per-queue and per-fiber cycle attribution for one \
-          simulated kernel, plus compiler pass times")
+          simulated kernel (host pass times: $(b,profile) or \
+          $(b,run --profile))")
     Term.(
       const run $ kernel_arg $ cores_arg $ latency_arg $ queue_len_arg
       $ speculation_arg $ throughput_arg $ issue_width_arg $ comm_arg
@@ -1166,14 +1163,10 @@ let profile_cmd =
   in
   let run name cores latency queue_len speculation throughput engine format
       output trace_out =
-    let tracer = Finepar_telemetry.Tracer.create () in
-    Finepar_telemetry.Tracer.install tracer;
-    let _, r, _ =
-      Fun.protect
-        ~finally:(fun () -> Finepar_telemetry.Tracer.uninstall ())
-        (fun () ->
-          compile_and_sim ~name ~cores ~latency ~queue_len ~speculation
-            ~throughput ~tracing:false ~engine ())
+    let (r, _), tracer =
+      with_host_tracer @@ fun () ->
+      compile_and_sim ~name ~cores ~latency ~queue_len ~speculation
+        ~throughput ~tracing:false ~engine ()
     in
     let tree =
       Finepar_telemetry.Profile_tree.of_spans

@@ -73,8 +73,6 @@ type compiled = {
   comm : Comm.t;  (** the transfer plan the verifier checks against *)
   code : Lower.t;
   stats : stats;
-  pass_times : (string * float) list;
-      (** per-pass wall-clock seconds, in pipeline order *)
 }
 
 let pp_stats ppf s =
@@ -84,9 +82,9 @@ let pp_stats ppf s =
     s.queue_pairs_static s.n_partitions
 
 let compile (config : config) (kernel : Kernel.t) =
-  (* One enclosing span per compilation: with a tracer installed, the
-     per-pass spans emitted by [Passes.time] nest under it, turning the
-     flat pass-timer list into a tree rooted at the kernel. *)
+  (* One enclosing span per compilation; with a tracer installed, each
+     pass is a span (category "pass") nested under it, and with none
+     installed a span costs one atomic load. *)
   Finepar_telemetry.Tracer.with_span ~cat:"compile"
     ~args:
       [
@@ -95,8 +93,7 @@ let compile (config : config) (kernel : Kernel.t) =
       ]
     ("compile " ^ kernel.Kernel.name)
   @@ fun () ->
-  let passes = Finepar_telemetry.Passes.create () in
-  let timed name f = Finepar_telemetry.Passes.time passes name f in
+  let timed name f = Finepar_telemetry.Tracer.with_span ~cat:"pass" name f in
   let kernel', speculated_ifs =
     timed "speculate" (fun () ->
         if config.speculation then Speculate.apply kernel else (kernel, 0))
@@ -167,7 +164,6 @@ let compile (config : config) (kernel : Kernel.t) =
         merge_steps = merge.Merge.merge_steps;
         speculated_ifs;
       };
-    pass_times = Finepar_telemetry.Passes.to_list passes;
   }
 
 (** Compile for sequential execution on one core (the baseline of all the

@@ -64,8 +64,6 @@ type compiled = {
       (** the transfer plan the static verifier checks against *)
   code : Finepar_codegen.Lower.t;  (** machine program + metadata *)
   stats : stats;
-  pass_times : (string * float) list;
-      (** per-pass wall-clock seconds, in pipeline order *)
 }
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -91,6 +91,12 @@ val direct :
 exception Failed of string
 (** A protocol step measured an error; the payload is its rendering. *)
 
+val profile : evaluator -> t -> int * (string * int * int) list
+(** [profile ev job] measures the sequential version of [job] with no
+    feedback: its cycles and the per-array load counters that the
+    parallel compile takes as [profile_counters].
+    @raise Failed if the run errors. *)
+
 val speedup : evaluator -> t -> int * int * float
 (** [speedup ev job] measures the sequential version of [job], then
     [job] itself carrying the sequential run's load counters as profile

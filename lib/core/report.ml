@@ -47,7 +47,6 @@ type t = {
   cores : core_row list;
   queues : queue_row list;
   fibers : fiber_row list;  (** issue + stall + wait = total_core_cycles *)
-  pass_times : (string * float) list;
   dropped_events : int;
 }
 
@@ -133,10 +132,6 @@ let of_sim ?compiled (sim : Sim.t) =
     cores;
     queues;
     fibers;
-    pass_times =
-      (match compiled with
-      | Some c -> c.Compiler.pass_times
-      | None -> []);
     dropped_events = Sim.dropped_events sim;
   }
 
@@ -284,12 +279,6 @@ let to_json t =
                    ("stall", Int f.stall);
                  ])
              t.fibers) );
-      ( "passes",
-        List
-          (List.map
-             (fun (name, secs) ->
-               Obj [ ("name", String name); ("seconds", Float secs) ])
-             t.pass_times) );
     ]
 
 let to_csv t = T.Metrics.to_csv (metrics t)
@@ -340,20 +329,14 @@ let pp ppf t =
     attributed t.wait_cycles
     (attributed + t.wait_cycles)
     t.cycles t.n_cores dual;
-  if t.pass_times <> [] then begin
-    Fmt.pf ppf "@.%-12s %12s@." "pass" "seconds";
-    List.iter
-      (fun (name, secs) -> Fmt.pf ppf "%-12s %12.6f@." name secs)
-      t.pass_times
-  end;
   if t.dropped_events > 0 then
     Fmt.pf ppf "@.(trace ring dropped %d events)@." t.dropped_events
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export: one lane per core (pid 0), occupancy
-   counters per queue (pid 1), compiler passes (pid 2); 1 cycle = 1 us. *)
+   counters per queue (pid 1); 1 cycle = 1 us. *)
 
-let chrome_trace ?(pass_times = []) (sim : Sim.t) =
+let chrome_trace (sim : Sim.t) =
   let open T.Chrome_trace in
   let program = sim.Sim.program in
   let n_cores = Array.length program.Program.cores in
@@ -366,15 +349,9 @@ let chrome_trace ?(pass_times = []) (sim : Sim.t) =
                Thread_name { pid = 0; tid = c; name = "core " ^ string_of_int c };
                Thread_sort { pid = 0; tid = c; index = c };
              ]))
-    @ (if Array.length program.Program.queues = 0 then []
-       else [ Process_name { pid = 1; name = "queues" } ])
     @
-    if pass_times = [] then []
-    else
-      [
-        Process_name { pid = 2; name = "compiler" };
-        Thread_name { pid = 2; tid = 0; name = "pipeline" };
-      ]
+    if Array.length program.Program.queues = 0 then []
+    else [ Process_name { pid = 1; name = "queues" } ]
   in
   (* Core lanes: merge per-cycle events into spans while the attribution
      (fiber or stall reason) stays the same over contiguous cycles. *)
@@ -447,15 +424,4 @@ let chrome_trace ?(pass_times = []) (sim : Sim.t) =
         sample q cycle
       | Sim.Ev_issue _ | Sim.Ev_stall _ -> ())
     events;
-  (* Compiler pass lane: wall-clock seconds scaled to microseconds,
-     laid end to end. *)
-  let _, passes =
-    List.fold_left
-      (fun (ts, acc) (name, secs) ->
-        let dur = max 1 (int_of_float (secs *. 1e6)) in
-        ( ts + dur,
-          Complete { name; cat = "compile"; pid = 2; tid = 0; ts; dur; args = [] }
-          :: acc ))
-      (0, []) pass_times
-  in
-  meta @ List.rev !spans @ List.rev !counters @ List.rev passes
+  meta @ List.rev !spans @ List.rev !counters

@@ -55,28 +55,24 @@ type t = {
   fibers : fiber_row list;
       (** sum of [issue + stall] over rows, plus [wait_cycles], equals
           [total_core_cycles] *)
-  pass_times : (string * float) list;
   dropped_events : int;  (** trace-ring truncation *)
 }
 
 (** Build the report from a finished simulation.  With [?compiled], fiber
-    rows carry source lines and the report carries kernel name and
-    compiler pass times. *)
+    rows carry source lines and the report carries the kernel name.
+    Every field is determined by the simulation; host timing lives in
+    {!Finepar_telemetry.Tracer} spans, never here. *)
 val of_sim : ?compiled:Compiler.compiled -> Finepar_machine.Sim.t -> t
-
-(** The report as a typed metrics registry (counters, gauges,
-    histograms) — the CSV exporter's source of truth. *)
-val metrics : t -> Finepar_telemetry.Metrics.t
 
 val to_json : t -> Finepar_telemetry.Json.t
 val to_csv : t -> string
 val pp : Format.formatter -> t -> unit
 
 (** Chrome [trace_event] timeline of a traced simulation: one lane per
-    core (contiguous same-fiber / same-stall cycles merged into spans),
-    an occupancy counter track per queue, and — when [pass_times] is
-    given — a compiler-pipeline lane.  1 simulated cycle = 1 us. *)
+    core (pid 0; contiguous same-fiber / same-stall cycles merged into
+    spans) and an occupancy counter track per queue (pid 1).  1 simulated
+    cycle = 1 us.  Host spans (compiler passes) come from
+    {!Finepar_telemetry.Tracer.to_chrome} on pid
+    {!Finepar_telemetry.Tracer.host_pid}. *)
 val chrome_trace :
-  ?pass_times:(string * float) list ->
-  Finepar_machine.Sim.t ->
-  Finepar_telemetry.Chrome_trace.event list
+  Finepar_machine.Sim.t -> Finepar_telemetry.Chrome_trace.event list

@@ -44,7 +44,7 @@ let run_response compiled (job : Wire.job) engine =
       queues_used = r.Runner.queues_used;
       load_counters = r.Runner.load_counters;
       result = r.Runner.result;
-      report = { r.Runner.telemetry with Finepar.Report.pass_times = [] };
+      report = r.Runner.telemetry;
     }
 
 let verify_response compiled =

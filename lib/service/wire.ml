@@ -8,11 +8,7 @@
     addressed cache digests rely on.  The kernel/config/value encodings
     are the fuzz reproducer's, reused verbatim; this module adds the
     request/response envelope and a bit-exact {!Finepar.Report.t}
-    round-trip.
-
-    Wall-clock noise never crosses the wire: [Report.pass_times] is
-    dropped (it round-trips as [[]]), so a cached response is
-    byte-identical to a freshly computed one. *)
+    round-trip. *)
 
 module R = Finepar_fuzz.Repro
 module Gen = Finepar_fuzz.Gen
@@ -442,7 +438,6 @@ let report_of_sexp s : Finepar.Report.t =
     cores;
     queues;
     fibers;
-    pass_times = [];
     dropped_events = int_of (field "dropped_events" s);
   }
 

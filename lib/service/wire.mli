@@ -7,11 +7,7 @@
     fuzz reproducer's ({!Finepar_fuzz.Repro}); floats travel as [%h]
     hexadecimal atoms and round-trip bit-exactly, including negative
     zero and the infinities (NaNs canonicalize to a payload-free [nan]
-    atom, so every NaN digests to the same cache key).
-
-    [Report.pass_times] (wall-clock seconds) is deliberately not
-    encoded and round-trips as [[]]: responses must be byte-identical
-    cached-vs-fresh and [-j1]-vs-[-jN]. *)
+    atom, so every NaN digests to the same cache key). *)
 
 (** {!Finepar.Job.workload}: seeded or explicit workload arrays. *)
 type workload_spec = Finepar.Job.workload =
@@ -46,7 +42,7 @@ type run_payload = {
   queues_used : int;
   load_counters : (string * int * int) list;
   result : Finepar_ir.Eval.result;
-  report : Finepar.Report.t;  (** [pass_times] always [[]] *)
+  report : Finepar.Report.t;
 }
 
 type response =

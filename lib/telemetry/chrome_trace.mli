@@ -29,10 +29,6 @@ type event =
   | Thread_name of { pid : int; tid : int; name : string }
   | Thread_sort of { pid : int; tid : int; index : int }
 
-val event_json : event -> Json.t
-
 (** The [{"traceEvents": [...]}] object format. *)
-val to_json : event list -> Json.t
-
 val to_string : event list -> string
 val to_channel : out_channel -> event list -> unit

@@ -86,9 +86,6 @@ let sum t = t.sum
 let min_value t = if t.count = 0 then None else Some t.min
 let max_value t = if t.count = 0 then None else Some t.max
 
-let mean t =
-  if t.count = 0 then None else Some (float_of_int t.sum /. float_of_int t.count)
-
 (* Prometheus-style quantile estimate over the bucket layout: the
    inclusive upper bound of the first bucket holding the rank-th
    observation, clamped into [min, max] so degenerate histograms stay
@@ -160,16 +157,3 @@ let to_json t =
                  ])
              (buckets t)) );
     ]
-
-let pp ppf t =
-  if t.count = 0 then Format.fprintf ppf "(empty)"
-  else begin
-    Format.fprintf ppf "n=%d sum=%d min=%d max=%d [" t.count t.sum t.min t.max;
-    List.iteri
-      (fun i (le, c) ->
-        if i > 0 then Format.fprintf ppf " ";
-        if le = max_int then Format.fprintf ppf "inf:%d" c
-        else Format.fprintf ppf "%d:%d" le c)
-      (buckets t);
-    Format.fprintf ppf "]"
-  end

@@ -32,7 +32,6 @@ val count : t -> int
 val sum : t -> int
 val min_value : t -> int option
 val max_value : t -> int option
-val mean : t -> float option
 
 (** [percentile t q] for [q] in [0, 100]: the inclusive upper bound of
     the bucket holding the rank-[ceil (q/100 * count)] observation,
@@ -53,4 +52,3 @@ val bucket_total : t -> int
 val merge_into : into:t -> t -> unit
 
 val to_json : t -> Json.t
-val pp : Format.formatter -> t -> unit

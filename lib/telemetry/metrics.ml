@@ -73,33 +73,9 @@ let gauge_value g = g.g_value
 let samples t =
   List.rev_map (fun key -> Hashtbl.find t.tbl key) t.order
 
-let kind_name = function
-  | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
-  | Histogram _ -> "histogram"
-
 let label_string labels =
   String.concat ","
     (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) labels)
-
-let to_json t =
-  Json.List
-    (List.map
-       (fun s ->
-         Json.Obj
-           [
-             ("name", Json.String s.name);
-             ("kind", Json.String (kind_name s.value));
-             ( "labels",
-               Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) s.labels)
-             );
-             ( "value",
-               match s.value with
-               | Counter c -> Json.Int c.c_value
-               | Gauge g -> Json.Float g.g_value
-               | Histogram h -> Histogram.to_json h );
-           ])
-       (samples t))
 
 (** CSV with a fixed header: name,labels,kind,value,count,sum,min,max.
     Counters and gauges fill [value]; histograms fill count/sum/min/max. *)

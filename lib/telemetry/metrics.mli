@@ -34,8 +34,5 @@ val gauge_value : gauge -> float
 (** Samples in registration order. *)
 val samples : t -> sample list
 
-val kind_name : value -> string
-val to_json : t -> Json.t
-
 (** CSV with header [name,labels,kind,value,count,sum,min,max]. *)
 val to_csv : t -> string

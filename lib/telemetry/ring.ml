@@ -17,8 +17,6 @@ let create ~capacity =
   if capacity < 0 then invalid_arg "Ring.create: negative capacity";
   { slots = Array.make capacity None; head = 0; length = 0; dropped = 0 }
 
-let capacity t = Array.length t.slots
-
 let length t = t.length
 
 let dropped t = t.dropped

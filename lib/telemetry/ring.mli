@@ -7,7 +7,6 @@ type 'a t
     every push (and counts them). *)
 val create : capacity:int -> 'a t
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 
 (** Elements overwritten (or refused, for capacity 0) so far. *)

@@ -19,12 +19,6 @@ let class_index = function
 
 let n_classes = 3
 
-let class_name = function
-  | 0 -> "operand"
-  | 1 -> "queue-full"
-  | 2 -> "queue-empty"
-  | i -> invalid_arg (Printf.sprintf "Stall.class_name: %d" i)
-
 let to_string = function
   | Operand -> "operand"
   | Queue_full q -> Printf.sprintf "queue-full q%d" q
@@ -36,5 +30,3 @@ let queue_of = function
   | Queue_full q | Queue_empty q -> Some q
 
 let equal (a : t) (b : t) = a = b
-
-let pp ppf r = Format.pp_print_string ppf (to_string r)

@@ -12,14 +12,9 @@ val class_index : t -> int
 
 val n_classes : int
 
-(** Name of a class index; raises [Invalid_argument] outside
-    [0, n_classes). *)
-val class_name : int -> string
-
 val to_string : t -> string
 
 (** The queue involved, if any. *)
 val queue_of : t -> int option
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -49,7 +49,7 @@ val spans : t -> span list
 val counters : t -> (string * int) list
 
 (** The pid used for the host process in Chrome traces (the simulator
-    uses 0 = cores, 1 = queues, 2 = compiler lane). *)
+    uses 0 = cores, 1 = queues). *)
 val host_pid : int
 
 (** Chrome trace_event export: one [Process_name] for the host, one

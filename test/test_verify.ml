@@ -246,12 +246,7 @@ let test_registry_accepted () =
                 in
                 Alcotest.(check bool)
                   (Fmt.str "%s cores=%d %s verifies" name cores mname)
-                  true (Verify.ok r);
-                Alcotest.(check bool)
-                  (Fmt.str "%s cores=%d %s records the verify pass" name cores
-                     mname)
-                  true
-                  (List.mem_assoc "verify" c.Compiler.pass_times))
+                  true (Verify.ok r))
             [ Finepar_transform.Comm.Queues; Finepar_transform.Comm.Shared_cache ])
         [ 1; 2; 4 ])
     Registry.all
