@@ -679,6 +679,12 @@ let wallclock ctx =
   let compiled =
     Compiler.compile (Compiler.default_config ~cores:4 ()) kernel
   in
+  (* irs-1 has the most fibers in the registry (95): the merge's worst
+     case. *)
+  let irs1 =
+    (Option.get (Finepar_kernels.Registry.find "irs-1"))
+      .Finepar_kernels.Registry.kernel
+  in
   let tests =
     Test.make_grouped ~name:"finepar"
       [
@@ -686,6 +692,19 @@ let wallclock ctx =
           (Staged.stage (fun () ->
                ignore
                  (Compiler.compile (Compiler.default_config ~cores:4 ()) kernel)));
+        Test.make ~name:"compile irs-1 (4 cores)"
+          (Staged.stage (fun () ->
+               ignore
+                 (Compiler.compile (Compiler.default_config ~cores:4 ()) irs1)));
+        (* Machine state for one run: memory image, queues and cache
+           tags, before the first cycle. *)
+        Test.make ~name:"sim create lammps-3 (4 cores)"
+          (Staged.stage (fun () ->
+               ignore
+                 (Finepar_machine.Sim.create
+                    ~config:compiled.Compiler.config.Compiler.machine
+                    ~initial:workload
+                    compiled.Compiler.code.Finepar_codegen.Lower.program)));
         (* The reference stepper, as when the baseline row was
            recorded; the engines section measures the compiled one. *)
         Test.make ~name:"simulate lammps-3 (4 cores, 256 iters)"

@@ -2,9 +2,12 @@
     simulator memory, the cache decides latency). *)
 
 type t = { line : int; sets : int; tags : int array; }
-val create : bytes:int -> line:int -> t
+
+val create : bytes:int -> line:int -> span:int -> t
+(** A cache of [bytes / line] sets, with tags for the sets below [span]
+    bytes only: every address later passed to {!access} or
+    {!invalidate} must lie in [\[0, span)]. *)
+
 val set_and_tag : t -> int -> int * int
 val access : t -> int -> bool
-val probe : t -> int -> bool
 val invalidate : t -> int -> unit
-val clear : t -> unit

@@ -175,6 +175,13 @@ let create ?(tracing = false) ?(trace_capacity = default_trace_capacity)
         | None -> Array.make l.Program.arr_len (Types.zero_of_ty l.Program.arr_ty))
       program.Program.arrays
   in
+  (* Every access passes [check_idx], so no address reaches [span]. *)
+  let span =
+    Array.fold_left
+      (fun acc (l : Program.array_layout) ->
+        max acc (l.Program.arr_base + (8 * l.Program.arr_len)))
+      0 program.Program.arrays
+  in
   {
     config;
     program;
@@ -197,8 +204,11 @@ let create ?(tracing = false) ?(trace_capacity = default_trace_capacity)
     core_map;
     l1 =
       Array.init n_phys (fun _ ->
-          Cache.create ~bytes:config.Config.l1_bytes ~line:config.Config.l1_line);
-    l2 = Cache.create ~bytes:config.Config.l2_bytes ~line:config.Config.l1_line;
+          Cache.create ~bytes:config.Config.l1_bytes ~line:config.Config.l1_line
+            ~span);
+    l2 =
+      Cache.create ~bytes:config.Config.l2_bytes ~line:config.Config.l1_line
+        ~span;
     regs =
       Array.map
         (fun (c : Program.core_program) ->

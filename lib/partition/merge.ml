@@ -15,7 +15,16 @@
       we reproduce that ablation).
 
     Must-merge constraints from {!Finepar_analysis.Deps} are applied before
-    any heuristic merging. *)
+    any heuristic merging.
+
+    Cost: an [n x n] matrix holds the dependence-edge count between every
+    two live clusters, and a merge folds the absorbed cluster's row into
+    the kept one in O(n), so affinities are recomputed without re-reading
+    the edge list.  A step over [r] live clusters is one O(r^2) scan of
+    their pairs ([`Multi_pair] also sorts the pairs of the class it
+    picks from); a greedy merge from [n] fibers to [cores] is O(n^3) in
+    all.  The throughput heuristic and the queue limit still re-read the
+    edge list after each of their merges. *)
 
 open Finepar_analysis
 
@@ -26,14 +35,6 @@ type result = {
   n_clusters : int;
   merge_steps : int;
 }
-
-module Int_pair = struct
-  type t = int * int
-
-  let compare = compare
-end
-
-module PM = Map.Make (Int_pair)
 
 (* Union-find over fiber ids. *)
 let find parent i =
@@ -53,7 +54,7 @@ let run ?(algorithm = `Greedy) ?(throughput = false) ?max_queue_pairs
     ?(weights = Affinity.default) ~cores (g : Code_graph.t) =
   let n = Code_graph.n_nodes g in
   let parent = Array.init n Fun.id in
-  let steps = ref 0 in
+  let steps = ref 0 and live = ref n in
   let info =
     Array.map
       (fun (nd : Code_graph.node) ->
@@ -66,13 +67,36 @@ let run ?(algorithm = `Greedy) ?(throughput = false) ?max_queue_pairs
         })
       g.Code_graph.nodes
   in
+  (* [edges.(a * n + b)]: data+control dependence edges (either direction)
+     between clusters [a] and [b] -- the paper's "number of dependence
+     edges between them".  Kept current for pairs of roots only. *)
+  let edges = Array.make (n * n) 0 in
+  List.iter
+    (fun (e : Deps.edge) ->
+      match e.Deps.kind with
+      | (Deps.Data _ | Deps.Control _) when e.Deps.src <> e.Deps.dst ->
+        let a = e.Deps.src and b = e.Deps.dst in
+        edges.((a * n) + b) <- edges.((a * n) + b) + 1;
+        edges.((b * n) + a) <- edges.((b * n) + a) + 1
+      | _ -> ())
+    g.Code_graph.deps.Deps.edges;
   let union a b =
     let ra = find parent a and rb = find parent b in
     if ra = rb then ()
     else begin
       incr steps;
+      decr live;
       let keep, gone = if ra < rb then (ra, rb) else (rb, ra) in
       parent.(gone) <- keep;
+      for i = 0 to n - 1 do
+        if i <> keep && i <> gone then begin
+          let c = edges.((keep * n) + i) + edges.((gone * n) + i) in
+          edges.((keep * n) + i) <- c;
+          edges.((i * n) + keep) <- c
+        end
+      done;
+      edges.((keep * n) + gone) <- 0;
+      edges.((gone * n) + keep) <- 0;
       let ik = info.(keep) and ig = info.(gone) in
       info.(keep) <-
         {
@@ -91,23 +115,6 @@ let run ?(algorithm = `Greedy) ?(throughput = false) ?max_queue_pairs
       if find parent i = i then acc := i :: !acc
     done;
     !acc
-  in
-  (* Dependence-edge counts between current clusters (data+control only,
-     matching "number of dependence edges between them"). *)
-  let pair_edges () =
-    List.fold_left
-      (fun acc (e : Deps.edge) ->
-        match e.Deps.kind with
-        | Deps.Data _ | Deps.Control _ ->
-          let a = find parent e.Deps.src and b = find parent e.Deps.dst in
-          if a = b then acc
-          else
-            let key = (min a b, max a b) in
-            PM.update key
-              (function None -> Some 1 | Some c -> Some (c + 1))
-              acc
-        | Deps.Anti _ | Deps.Mem _ -> acc)
-      PM.empty g.Code_graph.deps.Deps.edges
   in
   (* Merge every cycle among current clusters into a single cluster. *)
   let merge_cycles () =
@@ -172,59 +179,72 @@ let run ?(algorithm = `Greedy) ?(throughput = false) ?max_queue_pairs
     fixpoint ()
   in
   if throughput then merge_cycles ();
-  let count_clusters () = List.length (roots ()) in
+  (* Pair order of a step: score descending, then (a, b) ascending. *)
+  let by_rank (s1, a1, b1) (s2, a2, b2) =
+    match compare s2 s1 with 0 -> compare (a1, b1) (a2, b2) | c -> c
+  in
   (* One heuristic step: merge the best pair (or the best disjoint pairs
      for the multi-pair variant).  Returns false when no merge happened. *)
   let step () =
-    let current = count_clusters () in
+    let current = !live in
     if current <= cores then false
     else begin
-      let pe = pair_edges () in
-      let rs = roots () in
-      let max_edges = PM.fold (fun _ c acc -> max c acc) pe 0 in
-      let max_pair_est =
-        let ests = List.map (fun r -> info.(r).Affinity.est) rs in
-        let sorted = List.sort (fun a b -> compare b a) ests in
-        match sorted with a :: b :: _ -> a + b | _ -> 0
-      in
+      let rs = Array.make current 0 and k = ref 0 in
+      for i = 0 to n - 1 do
+        if parent.(i) = i then begin
+          rs.(!k) <- i;
+          incr k
+        end
+      done;
+      let max_edges = ref 0 and total_est = ref 0 in
+      let top1 = ref min_int and top2 = ref min_int in
+      for i = 0 to current - 1 do
+        let a = rs.(i) in
+        let est = info.(a).Affinity.est in
+        total_est := !total_est + est;
+        if est > !top1 then begin
+          top2 := !top1;
+          top1 := est
+        end
+        else if est > !top2 then top2 := est;
+        for j = i + 1 to current - 1 do
+          max_edges := max !max_edges edges.((a * n) + rs.(j))
+        done
+      done;
+      let max_edges = !max_edges in
+      let max_pair_est = if current >= 2 then !top1 + !top2 else 0 in
       (* Balance cap: avoid growing any partition past its fair share of
          the total estimated time (with some slack), falling back to
          unconstrained pairs when nothing fits.  Without this, the
          dependence-edge heuristic snowballs one giant partition. *)
-      let total_est =
-        List.fold_left (fun acc r -> acc + info.(r).Affinity.est) 0 rs
-      in
-      let est_limit = total_est * 5 / (4 * cores) + 1 in
-      let pairs = ref [] and capped_pairs = ref [] in
-      let rec all_pairs = function
-        | [] -> ()
-        | a :: rest ->
-          List.iter
-            (fun b ->
-              let edges =
-                Option.value ~default:0 (PM.find_opt (min a b, max a b) pe)
-              in
-              let s =
-                Affinity.score ~weights ~edges ~max_edges ~max_pair_est
-                  info.(a) info.(b)
-              in
-              if info.(a).Affinity.est + info.(b).Affinity.est <= est_limit
-              then capped_pairs := (s, a, b) :: !capped_pairs
-              else pairs := (s, a, b) :: !pairs)
-            rest;
-          all_pairs rest
-      in
-      all_pairs rs;
-      let pairs = if !capped_pairs <> [] then capped_pairs else pairs in
-      let sorted =
-        List.sort
-          (fun (s1, a1, b1) (s2, a2, b2) ->
-            match compare s2 s1 with 0 -> compare (a1, b1) (a2, b2) | c -> c)
-          !pairs
-      in
-      match sorted with
+      let est_limit = !total_est * 5 / (4 * cores) + 1 in
+      (* [`Greedy] keeps only the head of each class: scanning (a, b)
+         ascending and replacing on a strictly greater score gives the
+         head of [by_rank]. *)
+      let capped = ref [] and uncapped = ref [] in
+      for i = 0 to current - 2 do
+        let a = rs.(i) in
+        for j = i + 1 to current - 1 do
+          let b = rs.(j) in
+          let s =
+            Affinity.score ~weights ~edges:edges.((a * n) + b) ~max_edges
+              ~max_pair_est info.(a) info.(b)
+          in
+          let cls =
+            if info.(a).Affinity.est + info.(b).Affinity.est <= est_limit
+            then capped
+            else uncapped
+          in
+          match (algorithm, !cls) with
+          | `Greedy, [ (best, _, _) ] when compare s best <= 0 -> ()
+          | `Greedy, _ -> cls := [ (s, a, b) ]
+          | `Multi_pair, l -> cls := (s, a, b) :: l
+        done
+      done;
+      let pairs = if !capped <> [] then !capped else !uncapped in
+      match List.sort by_rank pairs with
       | [] -> false
-      | _ ->
+      | sorted ->
         let budget =
           match algorithm with
           | `Greedy -> 1

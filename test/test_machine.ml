@@ -285,7 +285,7 @@ let test_max_cycles_inclusive () =
 (* Caches.                                                             *)
 
 let test_cache_hit_miss () =
-  let c = Cache.create ~bytes:256 ~line:64 in
+  let c = Cache.create ~bytes:256 ~line:64 ~span:512 in
   Alcotest.(check bool) "cold miss" false (Cache.access c 0);
   Alcotest.(check bool) "hit after fill" true (Cache.access c 8);
   Alcotest.(check bool) "different line misses" false (Cache.access c 64);
@@ -294,6 +294,42 @@ let test_cache_hit_miss () =
   Alcotest.(check bool) "original line was evicted" false (Cache.access c 0);
   Cache.invalidate c 0;
   Alcotest.(check bool) "invalidated line misses" false (Cache.access c 0)
+
+(* Tags sized to the program's span must answer exactly as the full-size
+   array does, for every address below the span: a span-sized cache and a
+   full one see the same seeded stream of accesses and invalidations. *)
+let test_cache_span_matches_full () =
+  let rng = Random.State.make [| 17 |] in
+  List.iter
+    (fun (bytes, line, span, tags) ->
+      let small = Cache.create ~bytes ~line ~span
+      and full = Cache.create ~bytes ~line ~span:bytes in
+      Alcotest.(check int)
+        (Printf.sprintf "%d-byte cache, span %d: tags" bytes span)
+        tags
+        (Array.length small.Cache.tags);
+      for i = 1 to 20_000 do
+        let addr = Random.State.int rng span in
+        if Random.State.int rng 8 = 0 then begin
+          Cache.invalidate small addr;
+          Cache.invalidate full addr
+        end
+        else
+          Alcotest.(check bool)
+            (Printf.sprintf "access %d (addr %d, %d bytes, span %d)" i addr
+               bytes span)
+            (Cache.access full addr) (Cache.access small addr)
+      done)
+    [
+      (* L1-sized: span below, at and above the cache size. *)
+      (16 * 1024, 64, 2_680, 42);
+      (16 * 1024, 64, 16 * 1024, 256);
+      (16 * 1024, 64, 100_000, 256);
+      (* L2-sized: a registry footprint in a 4 MiB L2, and a 4 KiB L2 with
+         a span that wraps it. *)
+      (4 * 1024 * 1024, 64, 21_128, 331);
+      (4 * 1024, 64, 21_128, 64);
+    ]
 
 let test_load_latency_tiers () =
   (* Repeated loads of one element: first access goes to memory, later
@@ -399,6 +435,8 @@ let () =
       ( "caches",
         [
           Alcotest.test_case "hit/miss/evict" `Quick test_cache_hit_miss;
+          Alcotest.test_case "span-sized tags match full" `Quick
+            test_cache_span_matches_full;
           Alcotest.test_case "latency tiers" `Quick test_load_latency_tiers;
           Alcotest.test_case "per-array counters" `Quick
             test_per_array_counters;

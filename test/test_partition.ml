@@ -108,6 +108,68 @@ let test_multipair_merges_faster () =
   Alcotest.(check bool) "same merge work overall" true
     (multi.Merge.merge_steps = greedy.Merge.merge_steps)
 
+(* Golden digest of every partition the merge produces over the registry
+   and corpus targets and the first 200 fuzz graphs, under both
+   algorithms, with and without the throughput heuristic and the queue
+   limit, at 1/2/4/8 cores.  The property tests above would not notice a
+   changed tie-break; this pins the exact [cluster_of], [n_clusters] and
+   [merge_steps].  Update the digest only for an intended change of the
+   merge heuristic (it changes compiled code, so bump
+   [Version.code_version] with it). *)
+let golden_merge_digest = "0db8d66ee2bac8bc5db4e89e43dd97ed"
+
+let test_merge_golden () =
+  let module Search = Finepar_tune.Search in
+  let module Compiler = Finepar.Compiler in
+  let graph_of ~max_height ~speculation kernel =
+    let kernel =
+      if speculation then fst (Finepar_transform.Speculate.apply kernel)
+      else kernel
+    in
+    let _, _, graph = pipeline ~max_height kernel in
+    graph
+  in
+  let graphs =
+    List.map
+      (fun (t : Search.target) ->
+        graph_of ~max_height:Region.default_max_height ~speculation:false
+          t.Search.t_kernel)
+      (Search.registry_targets () @ Search.corpus_targets ())
+    @ List.init 200 (fun seed ->
+          let case = Finepar_fuzz.Gen.case_of_seed seed in
+          let c = case.Finepar_fuzz.Gen.config in
+          graph_of ~max_height:c.Compiler.max_height
+            ~speculation:c.Compiler.speculation case.Finepar_fuzz.Gen.kernel)
+  in
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun graph ->
+      List.iter
+        (fun algorithm ->
+          List.iter
+            (fun throughput ->
+              List.iter
+                (fun max_queue_pairs ->
+                  List.iter
+                    (fun cores ->
+                      let r =
+                        Merge.run ~algorithm ~throughput ?max_queue_pairs
+                          ~cores graph
+                      in
+                      Array.iter
+                        (fun c -> Printf.bprintf buf "%d," c)
+                        r.Merge.cluster_of;
+                      Printf.bprintf buf "|%d|%d\n" r.Merge.n_clusters
+                        r.Merge.merge_steps)
+                    [ 1; 2; 4; 8 ])
+                [ None; Some 2 ])
+            [ false; true ])
+        [ `Greedy; `Multi_pair ])
+    graphs;
+  Alcotest.(check string)
+    "partition digest" golden_merge_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_load_balance_positive () =
   let _, _, graph = pipeline medium_kernel in
   let res = Merge.run ~cores:4 graph in
@@ -212,6 +274,7 @@ let () =
             test_multipair_merges_faster;
           Alcotest.test_case "load balance sane" `Quick
             test_load_balance_positive;
+          Alcotest.test_case "golden partitions" `Quick test_merge_golden;
         ] );
       ( "affinity",
         [
