@@ -15,5 +15,8 @@
    (a run answered under one engine is a hit under the other), and the
    wire rejects the retired [event] engine.
    fp-svc-4: the config digest hashes the workload's values in binary
-   instead of their [%h] text, so every key is new. *)
-let code_version = "fp-svc-4"
+   instead of their [%h] text, so every key is new.
+   fp-svc-5: the config digest holds the MD5 of the workload's values
+   instead of the values themselves (so a registry workload's key costs
+   a memo lookup); response bytes are unchanged, but every key is new. *)
+let code_version = "fp-svc-5"

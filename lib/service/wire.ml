@@ -14,6 +14,7 @@ module R = Finepar_fuzz.Repro
 module Gen = Finepar_fuzz.Gen
 module Engine = Finepar_machine.Engine
 module H = Finepar_telemetry.Histogram
+module Registry = Finepar_kernels.Registry
 
 open R
 
@@ -104,19 +105,100 @@ let config_of_sexp s =
 (* ------------------------------------------------------------------ *)
 (* Workloads, counters, jobs.                                           *)
 
+(* A float's digest bits.  The wire's [%h] text drops a NaN's payload
+   but keeps its sign ("nan", "-nan"), so every NaN digests as the quiet
+   NaN of its sign: a job and its wire round-trip share a key.  -0.0
+   keeps its sign bit and stays distinct from 0.0. *)
+let quiet_nan = Float.of_string "nan"
+
+let float_bits f =
+  Int64.bits_of_float (if Float.is_nan f then Float.copy_sign quiet_nan f else f)
+
+let add_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
+
+(* The MD5 of a workload's values in a length-prefixed binary encoding
+   rather than their rendered text: per array the name's length, the
+   name, the value count, then per value a type tag and eight bytes. *)
+let values_digest arrays =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (name, vals) ->
+      add_int buf (String.length name);
+      Buffer.add_string buf name;
+      add_int buf (Array.length vals);
+      Array.iter
+        (function
+          | Finepar_ir.Types.VInt i ->
+            Buffer.add_char buf 'i';
+            add_int buf i
+          | Finepar_ir.Types.VFloat f ->
+            Buffer.add_char buf 'f';
+            Buffer.add_int64_le buf (float_bits f))
+        vals)
+    arrays;
+  Digest.string (Buffer.contents buf)
+
+(* A registry entry's own workload value travels by name, and its digest
+   is computed once per process (nothing mutates it: the evaluator and
+   the simulator copy their initial arrays).  The memo is an atomic rather than a
+   [Lazy]: domains racing on an empty cell compute the same bytes, where
+   forcing one [Lazy] from two domains raises. *)
+let registry_digests =
+  List.map (fun (e : Registry.entry) -> (e, Atomic.make None)) Registry.all
+
+let entry_digest ((e : Registry.entry), memo) =
+  match Atomic.get memo with
+  | Some d -> d
+  | None ->
+    let d = values_digest e.workload in
+    Atomic.set memo (Some d);
+    d
+
+(* Physical identity, not equality: only the registry's own value is
+   known to be the one the peer holds under that name. *)
+let registry_entry arrays =
+  List.find_opt
+    (fun ((e : Registry.entry), _) -> e.workload == arrays)
+    registry_digests
+
+let workload_digest arrays =
+  match registry_entry arrays with
+  | Some entry -> entry_digest entry
+  | None -> values_digest arrays
+
 let sexp_of_workload = function
   | Seeded seed -> List [ Atom "workload"; Atom "seed"; Atom (string_of_int seed) ]
-  | Explicit arrays ->
-    List
-      (Atom "workload" :: Atom "explicit"
-      :: List.map
-           (fun (name, vals) ->
-             List (Atom name :: List.map sexp_of_value (Array.to_list vals)))
-           arrays)
+  | Explicit arrays -> (
+    match registry_entry arrays with
+    | Some ((e, _) as entry) ->
+      List
+        [
+          Atom "workload";
+          Atom "registry";
+          Atom e.kernel.Finepar_ir.Kernel.name;
+          Atom (Digest.to_hex (entry_digest entry));
+        ]
+    | None ->
+      List
+        (Atom "workload" :: Atom "explicit"
+        :: List.map
+             (fun (name, vals) ->
+               List (Atom name :: List.map sexp_of_value (Array.to_list vals)))
+             arrays))
 
 let workload_of_sexp s =
   match field_items "workload" s with
   | [ Atom "seed"; n ] -> Seeded (int_of n)
+  | [ Atom "registry"; Atom name; Atom hex ] -> (
+    match Registry.find name with
+    | None -> err "unknown registry workload %S" name
+    | Some e ->
+      (* The digest keeps two builds from answering for different data
+         under one name. *)
+      let ours = Digest.to_hex (workload_digest e.workload) in
+      if not (String.equal hex ours) then
+        err "registry workload %S: digest %S, this build has %s" name hex ours;
+      Explicit e.workload)
   | Atom "explicit" :: arrays ->
     Explicit
       (List.map
@@ -229,46 +311,19 @@ let kind_slot = function
    sequential flag, placement, profile feedback, workload. *)
 let kernel_canon (j : job) = canon (R.sexp_of_kernel j.kernel)
 
-(* A float's digest bits.  The wire's [%h] text drops a NaN's payload
-   but keeps its sign ("nan", "-nan"), so every NaN digests as the quiet
-   NaN of its sign: a job and its wire round-trip share a key.  -0.0
-   keeps its sign bit and stays distinct from 0.0. *)
-let quiet_nan = Float.of_string "nan"
-
-let float_bits f =
-  Int64.bits_of_float (if Float.is_nan f then Float.copy_sign quiet_nan f else f)
-
-let add_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
-
-(* The workload, which can hold thousands of values, goes in as a
-   length-prefixed binary encoding of the values themselves rather than
-   their rendered text: a tag and the seed, or per array the name's
-   length, the name, the value count, then per value a type tag and
-   eight bytes. *)
+(* The workload enters as a tag and the seed, or as a tag and the MD5 of
+   its values: O(1) per request for a registry workload, whose digest is
+   memoized, and the same bytes for any structurally equal copy. *)
 let add_workload buf = function
   | Seeded seed ->
     Buffer.add_char buf 'S';
     add_int buf seed
   | Explicit arrays ->
     Buffer.add_char buf 'E';
-    List.iter
-      (fun (name, vals) ->
-        add_int buf (String.length name);
-        Buffer.add_string buf name;
-        add_int buf (Array.length vals);
-        Array.iter
-          (function
-            | Finepar_ir.Types.VInt i ->
-              Buffer.add_char buf 'i';
-              add_int buf i
-            | Finepar_ir.Types.VFloat f ->
-              Buffer.add_char buf 'f';
-              Buffer.add_int64_le buf (float_bits f))
-          vals)
-      arrays
+    Buffer.add_string buf (workload_digest arrays)
 
 let config_digest_input (j : job) =
-  let buf = Buffer.create 4096 in
+  let buf = Buffer.create 256 in
   Buffer.add_string buf
     (canon
        (List

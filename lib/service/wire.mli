@@ -7,7 +7,22 @@
     fuzz reproducer's ({!Finepar_fuzz.Repro}); floats travel as [%h]
     hexadecimal atoms and round-trip bit-exactly, including negative
     zero and the infinities (NaNs canonicalize to a payload-free [nan]
-    atom, so every NaN digests to the same cache key). *)
+    atom, so every NaN digests to the same cache key).
+
+    A workload travels in one of three forms:
+    - [(workload seed N)] for [Seeded N];
+    - [(workload registry NAME MD5HEX)] for an [Explicit] value that is
+      physically ([==]) the [workload] of the {!Finepar_kernels.Registry}
+      entry named NAME.  The receiver resolves NAME in its own registry
+      and hands back that same physical value.  MD5HEX is the digest of
+      the entry's values; a mismatch (two builds holding different data
+      under one name) or an unknown NAME is a parse error;
+    - [(workload explicit (ARRAY V ...) ...)] for any other [Explicit]
+      value, including a structurally equal copy of a registry
+      workload.
+
+    Both [Explicit] spellings decode to equal values, and so to the same
+    cache key and the same response bytes. *)
 
 (** {!Finepar.Job.workload}: seeded or explicit workload arrays. *)
 type workload_spec = Finepar.Job.workload =
@@ -71,11 +86,12 @@ val config_digest_input : job -> string
 (** Digest input covering everything else that can change a response
     for the same kernel: the canonical text of config (machine
     geometry, weights, ...), sequential flag, placement and profile
-    feedback, then a length-prefixed binary encoding of the workload's
-    values (ints as int64, floats as their bits with every NaN mapped
-    to the quiet NaN of its sign — the equivalence the wire's [%h] text
-    has, so a job and its wire round-trip digest alike).  Not text: only ever
-    hashed. *)
+    feedback, then the workload: the seed, or the 16-byte MD5 of a
+    length-prefixed binary encoding of its values (ints as int64,
+    floats as their bits with every NaN mapped to the quiet NaN of its
+    sign — the equivalence the wire's [%h] text has, so a job and its
+    wire round-trip digest alike).  A registry workload's MD5 is
+    computed once per process.  Not text: only ever hashed. *)
 
 (** {2 Single messages} *)
 

@@ -11,6 +11,10 @@
    - eviction respects max_entries;
    - responses are byte-identical cached-vs-fresh and -j1-vs-jN;
    - errors are answered deterministically but never cached;
+   - registry workloads travel by name and decode to the registry's own
+     value, a copy travels explicitly with the same key and bytes, a bad
+     name or digest fails only its slot, and 500 mutated registry frames
+     are each answered without raising;
    - concurrent clients against one forked server over a Unix domain
      socket all get the same bytes. *)
 
@@ -68,28 +72,59 @@ let test_request_roundtrip () =
         (requests_of_seed seed))
     [ 0; 1; 17; 42; 31337 ]
 
+module Registry = Finepar_kernels.Registry
+
+let registry_job ?workload (e : Registry.entry) =
+  {
+    Wire.kernel = e.Registry.kernel;
+    config = Finepar.Compiler.default_config ();
+    sequential = false;
+    placement = F.Gen.Identity;
+    workload = Wire.Explicit (Option.value workload ~default:e.Registry.workload);
+    profile_counters = [];
+  }
+
+let registry_name (e : Registry.entry) = e.Registry.kernel.Finepar_ir.Kernel.name
+
+(* Equal values, but not the registry's own: travels as explicit. *)
+let deep_copy (e : Registry.entry) =
+  List.map (fun (name, vals) -> (name, Array.copy vals)) e.Registry.workload
+
 let test_registry_explicit_workload_roundtrip () =
-  (* Registry entries carry their fixed workloads explicitly (arrays of
-     hex floats and ints) rather than a seed. *)
+  (* Registry workloads (arrays of hex floats and ints) round-trip both
+     as the explicit values of a copy and by name. *)
   List.iter
-    (fun (e : Finepar_kernels.Registry.entry) ->
-      let job =
-        {
-          Wire.kernel = e.Finepar_kernels.Registry.kernel;
-          config = Finepar.Compiler.default_config ();
-          sequential = false;
-          placement = F.Gen.Identity;
-          workload = Wire.Explicit e.Finepar_kernels.Registry.workload;
-          profile_counters = [ ("x", 1024, 37) ];
-        }
-      in
-      let req = Wire.Run { job; engine = Finepar_machine.Engine.Cycle } in
-      let s = Wire.request_to_string req in
-      Alcotest.(check string)
-        (e.Finepar_kernels.Registry.app ^ " explicit workload round-trips")
-        s
-        (Wire.request_to_string (Wire.request_of_string s)))
-    Finepar_kernels.Registry.all
+    (fun (e : Registry.entry) ->
+      List.iter
+        (fun workload ->
+          let job =
+            { (registry_job ?workload e) with
+              profile_counters = [ ("x", 1024, 37) ] }
+          in
+          let req = Wire.Run { job; engine = Finepar_machine.Engine.Cycle } in
+          let s = Wire.request_to_string req in
+          Alcotest.(check string)
+            (e.Registry.app ^ " explicit workload round-trips")
+            s
+            (Wire.request_to_string (Wire.request_of_string s)))
+        [ None; Some (deep_copy e) ])
+    Registry.all
+
+let test_registry_workloads_by_name () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      let name = registry_name e in
+      let s = Wire.request_to_string (Wire.Compile (registry_job e)) in
+      Alcotest.(check bool) (name ^ " travels by name") true
+        (Helpers.contains ~sub:("(workload registry " ^ name ^ " ") s);
+      Alcotest.(check bool) (name ^ " carries no values") false
+        (Helpers.contains ~sub:"explicit" s);
+      match Wire.request_of_string s with
+      | Wire.Compile { workload = Wire.Explicit w; _ } ->
+        Alcotest.(check bool) (name ^ " decodes to the registry's own value")
+          true (w == e.Registry.workload)
+      | _ -> Alcotest.failf "%s: expected a compile with explicit values" name)
+    Registry.all
 
 let roundtrip_weight w =
   let config =
@@ -319,7 +354,14 @@ let test_version_bump_invalidates () =
   let k2 = Option.get (Cache.key_of_request v2 req) in
   Alcotest.(check bool) "bumped version misses" true (Cache.find v2 k2 = None);
   Alcotest.(check string) "only the version component moved"
-    k1.Cache.kernel_digest k2.Cache.kernel_digest
+    k1.Cache.kernel_digest k2.Cache.kernel_digest;
+  (* The current version answers nothing stored by the previous one. *)
+  let old = Cache.create ~version:"fp-svc-4" dir in
+  let k_old = Option.get (Cache.key_of_request old req) in
+  Cache.store old k_old "(response (kind pong) (version fp-svc-4))";
+  let current = Cache.create dir in
+  Alcotest.(check bool) "an fp-svc-4 entry misses" true
+    (Cache.find current (Option.get (Cache.key_of_request current req)) = None)
 
 let test_corrupt_entries_are_misses () =
   let dir = temp_dir () in
@@ -473,6 +515,178 @@ let test_engine_twins_share_entry () =
     (List.assoc "stores" (Cache.counters cache));
   Alcotest.(check int) "every twin lookup counted" 2
     (List.assoc "misses" (Cache.counters cache))
+
+(* A structurally equal copy of a registry workload travels explicitly
+   but keys, and answers, exactly like the named original. *)
+let test_registry_copy_shares_key () =
+  let cache = Cache.create (temp_dir ()) in
+  let key job = Cache.key_of_request cache (Wire.Compile job) in
+  List.iter
+    (fun (e : Registry.entry) ->
+      let copy = registry_job ~workload:(deep_copy e) e in
+      let name = registry_name e in
+      Alcotest.(check bool) (name ^ " copy travels explicitly") true
+        (Helpers.contains ~sub:"(workload explicit"
+           (Wire.request_to_string (Wire.Compile copy)));
+      Alcotest.(check bool) (name ^ " copy shares the named key") true
+        (key copy = key (registry_job e)))
+    Registry.all;
+  let e = Option.get (Registry.find "sphot-1") in
+  let frame job = Wire.batch_to_string [ Wire.Run { job; engine = Compiled } ] in
+  let copy = frame (registry_job ~workload:(deep_copy e) e) in
+  let server = Server.create ~cache () in
+  let named = Server.handle_frame server (frame (registry_job e)) in
+  let served = Server.handle_frame server copy in
+  let fresh =
+    Server.handle_frame
+      (Server.create ~cache:(Cache.create (temp_dir ())) ())
+      copy
+  in
+  (match Wire.responses_of_string named with
+  | [ Wire.Run_result _ ] -> ()
+  | _ -> Alcotest.failf "expected one run result: %s" named);
+  Alcotest.(check string) "the copy is served the named bytes" named served;
+  Alcotest.(check string) "a fresh copy computes the same bytes" fresh served;
+  Alcotest.(check int) "the copy was a hit" 1
+    (List.assoc "hits" (Cache.counters cache))
+
+(* Rewrite the item list of every job (the list holding a workload
+   field) in a request sexp. *)
+let is_workload = function
+  | F.Repro.List (F.Repro.Atom "workload" :: _) -> true
+  | _ -> false
+
+let rec edit_job f = function
+  | F.Repro.List items when List.exists is_workload items -> F.Repro.List (f items)
+  | F.Repro.List items -> F.Repro.List (List.map (edit_job f) items)
+  | atom -> atom
+
+let set_workload rest =
+  List.map (fun item ->
+      if is_workload item then F.Repro.List (F.Repro.Atom "workload" :: rest)
+      else item)
+
+let registry_atoms (e : Registry.entry) =
+  match F.Repro.field_items "workload" (Wire.sexp_of_job (registry_job e)) with
+  | [ registry; name; hex ] -> (registry, name, hex)
+  | _ -> Alcotest.fail "expected (workload registry NAME MD5HEX)"
+
+let test_bad_registry_names_fail_in_slot () =
+  let e = Option.get (Registry.find "sphot-1") in
+  let good = Wire.sexp_of_request (Wire.Run { job = registry_job e; engine = Compiled }) in
+  let registry, name, hex = registry_atoms e in
+  let unknown =
+    edit_job (set_workload [ registry; F.Repro.Atom "no-such-kernel"; hex ]) good
+  in
+  let wrong_digest =
+    edit_job
+      (set_workload
+         [ registry; name; F.Repro.Atom (Digest.to_hex (Digest.string "other data")) ])
+      good
+  in
+  let cache = Cache.create (temp_dir ()) in
+  let server = Server.create ~cache () in
+  let payload = F.Repro.canon (F.Repro.List [ F.Repro.Atom "batch"; good; unknown; wrong_digest ]) in
+  let first = Server.handle_frame server payload in
+  (match Wire.responses_of_string first with
+  | [ Wire.Run_result _; Wire.Error unknown_msg; Wire.Error digest_msg ] ->
+    Alcotest.(check bool) ("names the unknown workload: " ^ unknown_msg) true
+      (Helpers.contains ~sub:"no-such-kernel" unknown_msg);
+    Alcotest.(check bool) ("names the digest: " ^ digest_msg) true
+      (Helpers.contains ~sub:"digest" digest_msg)
+  | _ -> Alcotest.failf "bad batch shape: %s" first);
+  let second = Server.handle_frame server payload in
+  Alcotest.(check string) "answered alike twice" first second;
+  Alcotest.(check int) "only the good slot was stored" 1
+    (List.assoc "stores" (Cache.counters cache));
+  Alcotest.(check int) "one entry file" 1 (Cache.entries cache)
+
+(* 500 seeded mutations of a registry batch frame: every frame is
+   answered by a batch of as many slots as it parses into, or by one
+   Error when it is no batch at all, and nothing raises. *)
+let test_registry_frame_mutations () =
+  let entry name = registry_job (Option.get (Registry.find name)) in
+  let items =
+    List.map Wire.sexp_of_request
+      [
+        Wire.Run { job = entry "sphot-1"; engine = Compiled };
+        Wire.Compile (entry "umt2k-1");
+        Wire.Verify (entry "umt2k-5");
+      ]
+  in
+  let batch items = F.Repro.canon (F.Repro.List (F.Repro.Atom "batch" :: items)) in
+  let base = batch items in
+  let server = Server.create ~cache:(Cache.create (temp_dir ())) () in
+  ignore (Server.handle_frame server base);
+  let rng = F.Rng.create 19 in
+  let edit_item k f =
+    batch (List.mapi (fun i item -> if i = k then edit_job f item else item) items)
+  in
+  let edit f = edit_item (F.Rng.int_below rng (List.length items)) f in
+  (* One frame per slot: rendering 10^5 digits per mutation would cost
+     more than serving it. *)
+  let huge_seed =
+    Array.init (List.length items) (fun k ->
+        edit_item k (set_workload [ F.Repro.Atom "seed"; F.Repro.Atom (String.make 100_000 '9') ]))
+  in
+  (* A byte-level mutation may break the frame; a structural edit keeps
+     its three slots. *)
+  let mutate () =
+    match F.Rng.int_below rng 5 with
+    | 0 -> (String.sub base 0 (F.Rng.int_below rng (String.length base)), None)
+    | 1 ->
+      let b = Bytes.of_string base in
+      Bytes.set b (F.Rng.int_below rng (Bytes.length b)) (Char.chr (F.Rng.int_below rng 256));
+      (Bytes.to_string b, None)
+    | 2 ->
+      ( edit (fun job ->
+            List.map
+              (function
+                | F.Repro.List [ (F.Repro.Atom "workload" as w); registry; name; hex ] ->
+                  F.Repro.List
+                    (w :: registry :: F.Rng.choose rng [ [ hex; name ]; [ name ]; [ hex ] ])
+                | item -> item)
+              job),
+        Some 3 )
+    | 3 ->
+      ( edit (fun job ->
+            if F.Rng.bool rng then List.filter (fun item -> not (is_workload item)) job
+            else
+              List.concat_map
+                (fun item -> if is_workload item then [ item; item ] else [ item ])
+                job),
+        Some 3 )
+    | _ -> (huge_seed.(F.Rng.int_below rng (Array.length huge_seed)), Some 3)
+  in
+  let t0 = Unix.gettimeofday () in
+  for i = 1 to 500 do
+    let frame, slots = mutate () in
+    let out =
+      match Server.handle_frame server frame with
+      | out -> out
+      | exception e -> Alcotest.failf "mutation %d raised %s" i (Printexc.to_string e)
+    in
+    let slots =
+      match slots with
+      | Some _ -> slots
+      | None -> (
+        match F.Repro.parse_sexp frame with
+        | F.Repro.List (F.Repro.Atom "batch" :: items) -> Some (List.length items)
+        | _ | (exception F.Repro.Parse_error _) -> None)
+    in
+    match slots with
+    | Some n ->
+      Alcotest.(check int) (Printf.sprintf "mutation %d: one answer per slot" i)
+        n
+        (List.length (Wire.batch_items_of_string out))
+    | None -> (
+      match Wire.response_of_string out with
+      | Wire.Error _ -> ()
+      | _ -> Alcotest.failf "mutation %d: no batch, yet not one Error: %s" i out)
+  done;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "500 mutations in %.2f s (< 2 s)" elapsed) true
+    (elapsed < 2.0)
 
 let test_parallel_equals_serial () =
   let reqs = List.map Result.ok (batch_for [ 30; 31; 32; 33 ]) in
@@ -724,6 +938,8 @@ let () =
           Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
           Alcotest.test_case "explicit workloads round-trip" `Quick
             test_registry_explicit_workload_roundtrip;
+          Alcotest.test_case "registry workloads travel by name" `Quick
+            test_registry_workloads_by_name;
           Alcotest.test_case "non-finite weights bit-exact" `Quick
             test_nonfinite_weights_roundtrip;
           Alcotest.test_case "quoted atoms round-trip" `Quick
@@ -754,6 +970,12 @@ let () =
             `Quick test_corpus_parallel_equals_serial;
           Alcotest.test_case "errors deterministic, never cached" `Quick
             test_errors_not_cached;
+          Alcotest.test_case "a registry copy keys and answers alike" `Quick
+            test_registry_copy_shares_key;
+          Alcotest.test_case "bad registry names fail in their slot" `Quick
+            test_bad_registry_names_fail_in_slot;
+          Alcotest.test_case "registry frames survive 500 mutations" `Quick
+            test_registry_frame_mutations;
           Alcotest.test_case "malformed batch items fail in place" `Quick
             test_malformed_items_reported_in_slot;
           Alcotest.test_case "a bad frame header gets an error frame" `Quick
