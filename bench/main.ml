@@ -1,22 +1,28 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation, printing measured values side by side with the
-   published ones, then runs Bechamel wall-clock benchmarks of the
-   compiler and simulator themselves.
+(* The paper-reproduction harness: regenerates every table and figure of
+   the paper's evaluation, printing measured values side by side with
+   the published ones.  Every number comes from the deterministic
+   simulation or from static analysis, so the output is the same on
+   every host; host time is measured by the end-to-end benchmark in
+   benchmark/ instead.
 
    Sections (select with a command-line argument prefix, default: all):
      table1 table2 table3 fig11 fig12 fig13 fig14
      ablation_throughput ablation_multipair ablation_comm
      ablation_issue_width ablation_overhead ablation_queue
-     characterization engines service autotune wallclock
+     extension_smt extension_queue_limit extension_cores extension_simd
+     characterization autotune
 
    --json=FILE additionally writes the measured numbers of the sections
-   that ran as machine-readable JSON (for tracking runs over time; the
-   CI bench gate diffs it against bench/baseline.json).
+   that ran as machine-readable JSON; the CI bench gate compares it
+   exactly against bench/baseline.json.
 
    -j N (or --jobs=N, or the FINEPAR_DOMAINS environment variable) sets
    the domain-pool width used for the per-kernel fan-outs inside each
    section; results are merged by task index, so the output is
-   byte-identical at every -j.  -j 1 is fully sequential. *)
+   byte-identical at every -j.  -j 1 is fully sequential.
+
+   --trace-out=FILE and --profile[=FILE] run the sections under the
+   host tracer and write its Chrome trace or span tree. *)
 
 open Finepar
 module J = Finepar_telemetry.Json
@@ -408,235 +414,11 @@ let characterization _ctx =
      scalar + 1 array reductions) + 2 conditional + 18 selected)@."
 
 (* ------------------------------------------------------------------ *)
-(* Simulation-engine throughput: replay the fuzz corpus under every     *)
-(* engine and report simulated cycles per wall-clock second.  The       *)
-(* cycle counts are identical by the cycle-exactness contract (enforced *)
-(* by test_engine.ml and the fuzz oracle); only the wall time differs.  *)
-(* The timed region is [Sim.run] alone: building the sim and (for the   *)
-(* compiled engine) specializing it are per-kernel setup, not simulation *)
-(* — they are timed separately by the tracer's sim/specialize spans —   *)
-(* and a [Gc.full_major] between setup and run keeps the setup's        *)
-(* collection debt from being paid inside the measured window.  Each     *)
-(* engine's rate is the best of [reps] full corpus passes: timing noise  *)
-(* (scheduler preemption, heap state left by earlier bench sections) is  *)
-(* strictly one-sided — it can only slow a pass down — so best-of is the *)
-(* stable estimator of the engine's actual throughput where a pooled     *)
-(* mean would drift with whatever ran before.                            *)
-
-let engines ctx =
-  section "engines"
-    "simulation-engine throughput on the fuzz corpus (cycle vs compiled)";
-  let module F = Finepar_fuzz in
-  match
-    List.find_opt Sys.file_exists [ "test/fuzz_corpus"; "fuzz_corpus" ]
-  with
-  | None -> Fmt.pr "fuzz corpus directory not found; section skipped@."
-  | Some dir ->
-    let cases =
-      List.filter_map
-        (fun path ->
-          let case = (F.Corpus.load_file path).F.Corpus.case in
-          match Compiler.compile case.F.Gen.config case.F.Gen.kernel with
-          | exception _ -> None
-          | cc -> Some (case, cc))
-        (F.Corpus.files dir)
-    in
-    let reps = 12 in
-    (* One corpus pass: (simulated cycles, seconds inside [Sim.run]). *)
-    let pass engine =
-      List.fold_left
-        (fun (cycles, t) ((case : F.Gen.case), (cc : Compiler.compiled)) ->
-          let program = cc.Compiler.code.Finepar_codegen.Lower.program in
-          let n_threads = Array.length program.Finepar_machine.Program.cores in
-          let core_map = F.Gen.materialize case.F.Gen.placement n_threads in
-          let workload =
-            Finepar_kernels.Workload.default ~seed:case.F.Gen.workload_seed
-              case.F.Gen.kernel
-          in
-          let sim =
-            Finepar_machine.Sim.create ~core_map
-              ~config:cc.Compiler.config.Compiler.machine ~initial:workload
-              program
-          in
-          let specialized =
-            if engine = Finepar_machine.Engine.Compiled then
-              Some (Finepar_machine.Sim.specialize sim)
-            else None
-          in
-          Gc.full_major ();
-          let t0 = Unix.gettimeofday () in
-          let c =
-            match Finepar_machine.Sim.run ~engine ?specialized sim with
-            | c -> c
-            | exception Finepar_machine.Sim.Stuck _ -> 0
-          in
-          (cycles + c, t +. (Unix.gettimeofday () -. t0)))
-        (0, 0.0) cases
-    in
-    (* The engines' passes interleave, alternating which goes first, so
-       a host slowdown lands on both engines rather than on one engine's
-       block of passes. *)
-    let tallies =
-      List.map (fun e -> (e, (ref 0.0, ref 0))) Finepar_machine.Engine.all
-    in
-    for rep = 1 to reps do
-      List.iter
-        (fun (engine, (best, total)) ->
-          let c, t = pass engine in
-          total := !total + c;
-          best := Float.max !best (float_of_int c /. t))
-        (if rep mod 2 = 1 then tallies else List.rev tallies)
-    done;
-    (* One row per engine, both measured in this one run; the compiled
-       engine gets a speedup over the reference stepper's rate, and the
-       two must simulate the identical cycle total (cycle-exactness
-       leaves nothing else to agree on here). *)
-    let rows =
-      List.map (fun (engine, (best, total)) -> (engine, (!best, !total))) tallies
-    in
-    let cyc_rate, total =
-      List.assoc Finepar_machine.Engine.Cycle rows
-    in
-    List.iter (fun (_, (_, total')) -> assert (total = total')) rows;
-    Fmt.pr "%-8s %14s %18s@." "engine" "sim cycles" "cycles/second";
-    List.iter
-      (fun (engine, (rate, _)) ->
-        Fmt.pr "%-8s %14d %18.0f@."
-          (Finepar_machine.Engine.to_string engine)
-          total rate)
-      rows;
-    List.iter
-      (fun (engine, (rate, _)) ->
-        if engine <> Finepar_machine.Engine.Cycle then
-          Fmt.pr "%s-engine sim-throughput speedup: %.2fx (%d corpus cases x \
-                  %d reps)@."
-            (Finepar_machine.Engine.to_string engine)
-            (rate /. cyc_rate) (List.length cases) reps)
-      rows;
-    collect ctx "engines"
-      (J.Obj
-         ([
-            ("cases", J.Int (List.length cases));
-            ("reps", J.Int reps);
-            ("simulated_cycles", J.Int total);
-          ]
-         @ List.map
-             (fun (engine, (rate, _)) ->
-               ( Finepar_machine.Engine.to_string engine
-                 ^ "_cycles_per_second",
-                 J.Float rate ))
-             rows
-         @ List.filter_map
-             (fun (engine, (rate, _)) ->
-               if engine = Finepar_machine.Engine.Cycle then None
-               else
-                 Some
-                   ( Finepar_machine.Engine.to_string engine ^ "_speedup",
-                     J.Float (rate /. cyc_rate) ))
-             rows))
-
-(* ------------------------------------------------------------------ *)
-(* Compile-and-simulate service throughput: a registry subset crossed   *)
-(* with every engine, served cold (fresh store — every request is a     *)
-(* compile + simulate) and warm (identical second batch — every request *)
-(* is a store read), at one and four domains.  The responses are        *)
-(* asserted byte-identical cold-vs-warm and -j1-vs-j4 (the service's    *)
-(* determinism contract); only the wall time differs.  Warm passes use  *)
-(* best-of-reps like the engines section: timing noise is one-sided.    *)
-(* The numbers are machine-dependent, so the CI gate never compares     *)
-(* them exactly — it gates meta.min_service_warm_speedup against the    *)
-(* warm_speedup this section reports (warm rps / cold rps at -j1).      *)
-
-let service ctx =
-  section "service"
-    "compile-and-simulate service (requests/second, cold vs warm store)";
-  let module Wire = Finepar_service.Wire in
-  let module Cache = Finepar_service.Cache in
-  let module Server = Finepar_service.Server in
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
-  let entries =
-    List.filteri (fun i _ -> i < 6) Finepar_kernels.Registry.all
-  in
-  let reqs =
-    List.concat_map
-      (fun (e : Finepar_kernels.Registry.entry) ->
-        let job =
-          {
-            Wire.kernel = e.Finepar_kernels.Registry.kernel;
-            config = Compiler.default_config ~cores:4 ();
-            sequential = false;
-            placement = Finepar_fuzz.Gen.Identity;
-            workload = Wire.Explicit e.Finepar_kernels.Registry.workload;
-            profile_counters = [];
-          }
-        in
-        List.map
-          (fun engine -> Result.ok (Wire.Run { job; engine }))
-          Finepar_machine.Engine.all)
-      entries
-  in
-  let n = List.length reqs in
-  let measure ~jobs =
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "finepar-bench-svc-%d-j%d" (Unix.getpid ()) jobs)
-    in
-    let pool = if jobs > 1 then Some (Pool.create ~domains:jobs ()) else None in
-    let server = Server.create ?pool ~cache:(Cache.create dir) () in
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let cold = Server.handle_requests server reqs in
-    let t_cold = Unix.gettimeofday () -. t0 in
-    let reps = 5 in
-    let t_warm = ref infinity in
-    for _ = 1 to reps do
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      let warm = Server.handle_requests server reqs in
-      let t = Unix.gettimeofday () -. t0 in
-      assert (warm = cold);
-      if t < !t_warm then t_warm := t
-    done;
-    rm_rf dir;
-    (cold, float_of_int n /. t_cold, float_of_int n /. !t_warm)
-  in
-  let cold_j1, cold_rps_j1, warm_rps_j1 = measure ~jobs:1 in
-  let cold_j4, cold_rps_j4, warm_rps_j4 = measure ~jobs:4 in
-  assert (cold_j1 = cold_j4);
-  let warm_speedup = warm_rps_j1 /. cold_rps_j1 in
-  Fmt.pr "%-8s %14s %14s@." "domains" "cold req/s" "warm req/s";
-  Fmt.pr "%-8d %14.1f %14.1f@." 1 cold_rps_j1 warm_rps_j1;
-  Fmt.pr "%-8d %14.1f %14.1f@." 4 cold_rps_j4 warm_rps_j4;
-  Fmt.pr
-    "warm-store speedup: %.1fx over cold (%d requests: %d kernels x %d \
-     engines; responses byte-identical cold-vs-warm and -j1-vs-j4)@."
-    warm_speedup n (List.length entries)
-    (List.length Finepar_machine.Engine.all);
-  collect ctx "service"
-    (J.Obj
-       [
-         ("requests", J.Int n);
-         ("cold_rps_j1", J.Float cold_rps_j1);
-         ("warm_rps_j1", J.Float warm_rps_j1);
-         ("cold_rps_j4", J.Float cold_rps_j4);
-         ("warm_rps_j4", J.Float warm_rps_j4);
-         ("warm_speedup", J.Float warm_speedup);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Autotune search coverage and throughput: the generational beam       *)
-(* search (lib/tune) over a registry subset, on the compiled engine     *)
-(* (cycle counts are engine-invariant, so the rows match any engine).   *)
-(* The per-kernel rows and every count are deterministic and compared   *)
-(* exactly by the CI gate; configs_per_second is machine-dependent and  *)
-(* stripped before the comparison (and reported in the job summary).    *)
+(* Autotune search coverage: the generational beam search (lib/tune)    *)
+(* over a registry subset, on the compiled engine (cycle counts are     *)
+(* engine-invariant, so the rows match any engine).  The per-kernel     *)
+(* rows and every count are deterministic and compared exactly by the   *)
+(* CI gate.                                                             *)
 
 let autotune ctx =
   section "autotune" "generational autotune search (lib/tune coverage)";
@@ -650,105 +432,9 @@ let autotune ctx =
   let evaluator =
     Search.direct ?pool:ctx.pool ~engine:Finepar_machine.Engine.Compiled ()
   in
-  Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
   let rows = Search.run params evaluator targets in
-  let dt = Unix.gettimeofday () -. t0 in
-  let evaluated =
-    List.fold_left
-      (fun a (r : Search.row) -> a + r.Search.r_evaluated)
-      0 rows
-  in
-  let cps = if dt > 0. then float_of_int evaluated /. dt else 0. in
   Fmt.pr "%a" Search.pp_table rows;
-  Fmt.pr "throughput: %.1f configs evaluated/second (%d in %.2fs)@." cps
-    evaluated dt;
-  let deterministic =
-    match Search.to_json ~params rows with J.Obj kvs -> kvs | _ -> []
-  in
-  collect ctx "autotune"
-    (J.Obj (deterministic @ [ ("configs_per_second", J.Float cps) ]))
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock benchmarks of the toolchain itself.             *)
-
-let wallclock ctx =
-  section "wallclock" "toolchain wall-clock benchmarks (Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let e = Option.get (Finepar_kernels.Registry.find "lammps-3") in
-  let kernel = e.Finepar_kernels.Registry.kernel in
-  let workload = e.Finepar_kernels.Registry.workload in
-  let compiled =
-    Compiler.compile (Compiler.default_config ~cores:4 ()) kernel
-  in
-  (* irs-1 has the most fibers in the registry (95): the merge's worst
-     case. *)
-  let irs1 =
-    (Option.get (Finepar_kernels.Registry.find "irs-1"))
-      .Finepar_kernels.Registry.kernel
-  in
-  let tests =
-    Test.make_grouped ~name:"finepar"
-      [
-        Test.make ~name:"compile lammps-3 (4 cores)"
-          (Staged.stage (fun () ->
-               ignore
-                 (Compiler.compile (Compiler.default_config ~cores:4 ()) kernel)));
-        Test.make ~name:"compile irs-1 (4 cores)"
-          (Staged.stage (fun () ->
-               ignore
-                 (Compiler.compile (Compiler.default_config ~cores:4 ()) irs1)));
-        (* Machine state for one run: memory image, queues and cache
-           tags, before the first cycle. *)
-        Test.make ~name:"sim create lammps-3 (4 cores)"
-          (Staged.stage (fun () ->
-               ignore
-                 (Finepar_machine.Sim.create
-                    ~config:compiled.Compiler.config.Compiler.machine
-                    ~initial:workload
-                    compiled.Compiler.code.Finepar_codegen.Lower.program)));
-        (* The reference stepper, as when the baseline row was
-           recorded; the engines section measures the compiled one. *)
-        Test.make ~name:"simulate lammps-3 (4 cores, 256 iters)"
-          (Staged.stage (fun () ->
-               ignore
-                 (Runner.run ~check:false ~workload
-                    ~engine:Finepar_machine.Engine.Cycle compiled)));
-        Test.make ~name:"reference evaluator lammps-3"
-          (Staged.stage (fun () ->
-               ignore (Finepar_ir.Eval.run_result ~workload kernel)));
-        Test.make ~name:"classify 51-loop corpus"
-          (Staged.stage (fun () -> ignore (Experiments.characterization ())));
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> rows := (name, est) :: !rows
-      | Some _ | None -> ())
-    results;
-  let rows = List.sort compare !rows in
-  List.iter
-    (fun (name, est) -> Fmt.pr "%-55s %14.1f ns/run@." name est)
-    rows;
-  collect ctx "wallclock"
-    (J.List
-       (List.map
-          (fun (name, est) ->
-            J.Obj [ ("name", J.String name); ("ns_per_run", J.Float est) ])
-          rows))
+  collect ctx "autotune" (Search.to_json ~params rows)
 
 let all_sections =
   [
@@ -772,14 +458,10 @@ let all_sections =
     ("extension_cores", extension_cores);
     ("extension_simd", extension_simd);
     ("characterization", characterization);
-    ("engines", engines);
-    ("service", service);
-    ("wallclock", wallclock);
     ("autotune", autotune);
   ]
 
-(* -j N, -jN or --jobs=N; --trace-out=FILE, --profile[=FILE] and
-   --history=FILE ('none' disables the default bench/history.jsonl);
+(* -j N, -jN or --jobs=N; --trace-out=FILE and --profile[=FILE];
    anything else is a section-name prefix or a --json=FILE output
    request. *)
 type opts = {
@@ -788,7 +470,6 @@ type opts = {
   wanted : string list;
   trace_out : string option;
   profile : string option;  (** "-" = text to stdout, else JSON file *)
-  history : string option;
 }
 
 let parse_args args =
@@ -796,8 +477,7 @@ let parse_args args =
   and jobs = ref None
   and wanted = ref []
   and trace_out = ref None
-  and profile = ref None
-  and history = ref (Some "bench/history.jsonl") in
+  and profile = ref None in
   let cut ~prefix a = String.sub a (String.length prefix)
       (String.length a - String.length prefix)
   in
@@ -816,11 +496,6 @@ let parse_args args =
        else if String.equal "--profile" a then profile := Some "-"
        else if String.starts_with ~prefix:"--profile=" a then
          profile := Some (cut ~prefix:"--profile=" a)
-       else if String.starts_with ~prefix:"--history=" a then begin
-         match cut ~prefix:"--history=" a with
-         | "none" -> history := None
-         | file -> history := Some file
-       end
        else if String.starts_with ~prefix:"-j" a && String.length a > 2 then
          jobs := int_of_string_opt (String.sub a 2 (String.length a - 2))
        else wanted := a :: !wanted);
@@ -833,18 +508,7 @@ let parse_args args =
     wanted = List.rev !wanted;
     trace_out = !trace_out;
     profile = !profile;
-    history = !history;
   }
-
-let pool_metrics (p : Pool.stats) =
-  [
-    ("pool.tasks", float_of_int p.Pool.tasks);
-    ("pool.steals", float_of_int p.Pool.steals);
-    ("pool.steal_failures", float_of_int p.Pool.steal_failures);
-    ("pool.busy_seconds", p.Pool.busy_seconds);
-    ("pool.idle_seconds", p.Pool.idle_seconds);
-    ("pool.imbalance", p.Pool.imbalance);
-  ]
 
 let pool_json (p : Pool.stats) =
   J.Obj
@@ -861,7 +525,6 @@ let pool_json (p : Pool.stats) =
 
 let () =
   let module Tracer = Finepar_telemetry.Tracer in
-  let t_start = Unix.gettimeofday () in
   let opts = parse_args (List.tl (Array.to_list Sys.argv)) in
   let tracing = opts.trace_out <> None || opts.profile <> None in
   let tracer =
@@ -886,7 +549,6 @@ let () =
     all_sections;
   Tracer.uninstall ();
   let stats = Pool.stats pool in
-  let wall = Unix.gettimeofday () -. t_start in
   (* Scheduling-dependent, so stderr (the CI diffs stdout and the
      --json file across -j): the load-imbalance line the bench workflow
      scrapes into its job summary. *)
@@ -916,21 +578,6 @@ let () =
         J.to_channel oc doc;
         output_char oc '\n');
     Fmt.epr "metrics written to %s@." file);
-  (* Every run appends one line of scalar metrics to the history file;
-     finepar perf-report and check_bench --history read it back. *)
-  (match opts.history with
-  | None -> ()
-  | Some path ->
-    let module History = Finepar_telemetry.History in
-    let metrics =
-      History.summarize_sections sections
-      @ [ ("wall_seconds", wall) ]
-      @ pool_metrics stats
-    in
-    History.append ~path
-      (History.entry ~time:t_start ~label:"bench" ~jobs:(Pool.domains pool)
-         ~metrics);
-    Fmt.epr "history appended to %s@." path);
   (match tracer with
   | None -> ()
   | Some t ->

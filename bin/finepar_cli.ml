@@ -1204,103 +1204,6 @@ let profile_cmd =
       $ speculation_arg $ throughput_arg $ engine_arg $ format_arg
       $ output_arg $ trace_out_arg)
 
-let perf_report_cmd =
-  let module History = Finepar_telemetry.History in
-  let module Json = Finepar_telemetry.Json in
-  let history_arg =
-    let doc = "Bench history file (JSON Lines; one object per bench run)." in
-    Arg.(
-      value & opt string "bench/history.jsonl" & info [ "history" ] ~doc)
-  in
-  let window_arg =
-    let doc = "Rolling window: judge the latest run against the mean of \
-               up to this many preceding runs."
-    in
-    Arg.(value & opt int 5 & info [ "window" ] ~doc)
-  in
-  let tolerance_arg =
-    let doc = "Fractional drift allowed before a metric is flagged (0.10 \
-               = 10%)."
-    in
-    Arg.(value & opt float 0.10 & info [ "tolerance" ] ~doc)
-  in
-  let format_arg =
-    let doc = "Output format: text or json." in
-    Arg.(value & opt string "text" & info [ "format" ] ~doc)
-  in
-  let check_arg =
-    let doc = "Exit 1 when any metric regressed past the tolerance." in
-    Arg.(value & flag & info [ "check" ] ~doc)
-  in
-  let run history window tolerance format check =
-    match History.load ~path:history with
-    | Error e ->
-      Fmt.epr "perf-report: cannot read %s: %s@." history e;
-      exit 2
-    | Ok [] ->
-      Fmt.epr "perf-report: %s has no runs@." history;
-      exit 2
-    | Ok entries ->
-      let ts =
-        History.trends ~window ~tolerance (List.map History.metrics_of entries)
-      in
-      (match format with
-      | "json" ->
-        print_endline
-          (Json.to_string
-             (Json.Obj
-                [
-                  ("history", Json.String history);
-                  ("runs", Json.Int (List.length entries));
-                  ("window", Json.Int window);
-                  ("tolerance", Json.Float tolerance);
-                  ( "trends",
-                    Json.List (List.map History.trend_to_json ts) );
-                  ( "regressions",
-                    Json.Int
-                      (List.length
-                         (List.filter
-                            (fun (t : History.trend) ->
-                              t.History.verdict = History.Regression)
-                            ts)) );
-                ]))
-      | "text" ->
-        Fmt.pr "%s: %d run(s), window %d, tolerance %.0f%%@.@." history
-          (List.length entries) window (tolerance *. 100.);
-        Fmt.pr "%-40s %4s %12s %12s %8s  %s@." "metric" "runs" "last"
-          "window-mean" "delta" "verdict";
-        List.iter
-          (fun (t : History.trend) ->
-            Fmt.pr "%-40s %4d %12.6g %12s %8s  %s@." t.History.metric
-              t.History.n t.History.last
-              (match t.History.window_mean with
-              | None -> "-"
-              | Some m -> Fmt.str "%.6g" m)
-              (match t.History.delta_pct with
-              | None -> "-"
-              | Some d -> Fmt.str "%+.1f%%" d)
-              (History.verdict_string t.History.verdict))
-          ts
-      | other ->
-        Fmt.epr "unknown format %s (expected text or json)@." other;
-        exit 1);
-      if check && History.any_regression ts then begin
-        Fmt.epr "@.perf-report: regression(s) past %.0f%% tolerance@."
-          (tolerance *. 100.);
-        exit 1
-      end
-  in
-  Cmd.v
-    (Cmd.info "perf-report"
-       ~doc:
-         "Render per-metric trends from the append-only bench history \
-          (bench/history.jsonl): the latest run judged against a \
-          rolling window of its predecessors, with a regression verdict \
-          per metric")
-    Term.(
-      const run $ history_arg $ window_arg $ tolerance_arg $ format_arg
-      $ check_arg)
-
 (* ------------------------------------------------------------------ *)
 (* The compile-and-simulate service. *)
 
@@ -1501,5 +1404,5 @@ let () =
           [
             list_cmd; run_cmd; verify_cmd; show_cmd; trace_cmd; report_cmd;
             sweep_cmd; autotune_cmd; classify_cmd; fuzz_cmd; profile_cmd;
-            perf_report_cmd; serve_cmd; request_cmd;
+            serve_cmd; request_cmd;
           ]))

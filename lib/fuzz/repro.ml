@@ -179,24 +179,30 @@ let field name s =
   | [ v ] -> v
   | _ -> parse_error "field %S expects a single value" name
 
-(* Reject unknown fields in a record such as (machine (queue_len 2) ...):
-   every keyed item must be one the parser consumes.  Without this a
-   misspelled or stale field in a hand-edited reproducer (or a config
-   produced by a newer writer) would be silently dropped and the case
-   would replay under a different configuration than the file says.
-   [extra] lists fields a wrapping parser layers on top (the service
-   wire format appends [weights] to the reproducer config encoding). *)
+(* Reject unknown and repeated fields in a record such as
+   (machine (queue_len 2) ...): every keyed item must be one the parser
+   consumes, and [field] reads only the first of a key.  Without this a
+   misspelled, stale or doubled field in a hand-edited reproducer (or a
+   config produced by a newer writer) would be silently dropped and the
+   case would replay under a different configuration than the file
+   says.  [extra] lists fields a wrapping parser layers on top (the
+   service wire format appends [weights] to the reproducer config
+   encoding). *)
 let check_fields ~what ~known ?(extra = []) s =
   match s with
   | List (Atom _tag :: items) ->
-    List.iter
-      (function
-        | List (Atom k :: _)
-          when not (List.mem k known || List.mem k extra) ->
-          parse_error "unknown %s field %S (known fields: %s)" what k
-            (String.concat ", " (known @ extra))
-        | _ -> ())
-      items
+    ignore
+      (List.fold_left
+         (fun seen -> function
+           | List (Atom k :: _) ->
+             if not (List.mem k known || List.mem k extra) then
+               parse_error "unknown %s field %S (known fields: %s)" what k
+                 (String.concat ", " (known @ extra));
+             if List.mem k seen then
+               parse_error "repeated %s field %S" what k;
+             k :: seen
+           | _ -> seen)
+         [] items)
   | List _ | Atom _ -> parse_error "expected a (%s ...) record" what
 
 (* A sub-record such as (machine (queue_len 2) ...): rebuilt with its

@@ -49,12 +49,13 @@ val bool_of : sexp -> bool
 
 val check_fields :
   what:string -> known:string list -> ?extra:string list -> sexp -> unit
-(** Reject unknown fields in a [(tag (key value) ...)] record: every
-    keyed item must be in [known] (or [extra], for fields a wrapping
-    parser layers on top).  Without this a misspelled or stale field in
-    a hand-edited reproducer — or one written by a newer format — would
-    be silently dropped and the case would replay under a different
-    configuration than the file says.  Raises {!Parse_error}. *)
+(** Reject unknown and repeated fields in a [(tag (key value) ...)]
+    record: every keyed item must be in [known] (or [extra], for fields
+    a wrapping parser layers on top), and no key may appear twice.
+    Without this a misspelled, stale or doubled field in a hand-edited
+    reproducer — or one written by a newer format — would be silently
+    dropped and the case would replay under a different configuration
+    than the file says.  Raises {!Parse_error}. *)
 
 val float_atom : float -> sexp
 (** A float as a [%h] hexadecimal atom — bit-exact round-trip, including

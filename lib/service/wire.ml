@@ -236,7 +236,11 @@ let sexp_of_job (j : job) =
       sexp_of_counters "profile_counters" j.profile_counters;
     ]
 
+let job_fields =
+  [ "kernel"; "config"; "sequential"; "placement"; "workload"; "profile_counters" ]
+
 let job_of_sexp s =
+  check_fields ~what:"job" ~known:job_fields s;
   {
     kernel = R.kernel_of_sexp (section "kernel" s);
     config = config_of_sexp (section "config" s);
@@ -273,7 +277,14 @@ let sexp_of_request = function
 let request_of_sexp s =
   match s with
   | List (Atom "request" :: _) -> (
-    match atom (field "kind" s) with
+    let kind = atom (field "kind" s) in
+    check_fields ~what:"request" s
+      ~known:
+        (match kind with
+        | "run" -> [ "kind"; "engine"; "job" ]
+        | "compile" | "verify" -> [ "kind"; "job" ]
+        | _ -> [ "kind" ]);
+    match kind with
     | "run" ->
       let engine_name = atom (field "engine" s) in
       let engine =

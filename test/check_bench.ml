@@ -2,11 +2,6 @@
 
    usage:
      check_bench.exe BASELINE.json CURRENT.json
-       [--wallclock-tolerance FRAC]   tolerance for wall-clock gates
-                                      (default 0.10, i.e. >10% fails)
-       [--current-seconds S]          this run's bench wall-clock; gated
-                                      against meta.par_seconds in the
-                                      baseline when both are present
        [--speedup S]                  this runner's measured -j speedup
                                       (sequential seconds / parallel
                                       seconds); gated against
@@ -15,35 +10,14 @@
 
    Both files are bench --json outputs ({"sections": {...}}); the
    baseline may carry an extra "meta" object (see bench/baseline.json).
-   Section numbers are paper-accuracy results of a deterministic
-   simulation, so they must match the baseline exactly — any drift means
-   a semantic change to the compiler or simulator and fails the gate.
-   Wall-clock numbers (the bechamel "wallclock" section, and the
-   --current-seconds / --speedup gates) are machine-dependent and get
-   the tolerance instead.
-
-   The "engines" section (simulation-engine throughput on the fuzz
-   corpus) is also machine-dependent: it is never compared exactly.
-   Instead, every <engine>_speedup the bench reports is gated against
-   min_<engine>_speedup in the baseline meta, and the per-engine
-   throughput is reported in the job summary.  A speedup without its
-   gate — or a gate whose engine row is missing from the current run —
-   is a hard failure pointing at bench/record_baseline.sh, not a silent
-   skip: the baseline must learn about every engine the bench knows.
-
-   The "service" section (compile-and-simulate service throughput,
-   cold vs warm store) follows the same convention: never compared
-   exactly, and meta.min_service_warm_speedup is gated against the
-   section's warm_speedup with a hard failure in BOTH missing-key
-   directions — a gate without the section (or a section without its
-   gate) means baseline and bench disagree about the service's
-   existence and someone must refresh bench/record_baseline.sh.
-
-   The "autotune" section (the generational search's per-kernel
-   best-config rows) is deterministic except for its one throughput
-   number: configs_per_second is stripped from both sides, then the
-   rest — every best-config row, cycle count and heuristic gap — is
-   compared exactly like any paper-accuracy section. *)
+   Every section number is a paper-accuracy result of a deterministic
+   simulation, so the two "sections" objects must match exactly — same
+   sections, same keys, same values.  Any drift means a semantic change
+   to the compiler or simulator and fails the gate; a section or key on
+   one side only means the baseline is stale.  Host time is measured by
+   the end-to-end benchmark (benchmark/), not here; the one host number
+   this gate reads is --speedup, which only a runner with at least -j
+   cores can measure. *)
 
 module J = Finepar_telemetry.Json
 
@@ -76,7 +50,7 @@ let num_eq a b =
      so 1e-9 relative covers only representation round-trips. *)
   a = b || Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
 
-(* Exact structural comparison of one paper-accuracy section. *)
+(* Exact structural comparison of the paper-accuracy sections. *)
 let rec compare_exact path (base : J.t) (cur : J.t) =
   match (base, cur) with
   | (J.Int _ | J.Float _), (J.Int _ | J.Float _) ->
@@ -107,74 +81,6 @@ let rec compare_exact path (base : J.t) (cur : J.t) =
           fail "%s.%s: not in baseline (refresh bench/baseline.json)" path k)
       ys
   | _ -> fail "%s: type changed" path
-
-(* The autotune section: deterministic search rows compared exactly,
-   with the one machine-dependent number (configs_per_second) stripped
-   from both sides first and surfaced as a note instead. *)
-let compare_autotune base cur =
-  let strip = function
-    | J.Obj kvs -> J.Obj (List.remove_assoc "configs_per_second" kvs)
-    | j -> j
-  in
-  (match Option.bind (find "configs_per_second" cur) num with
-  | Some cps -> note "autotune: %.1f configs evaluated/second" cps
-  | None -> ());
-  compare_exact "autotune" (strip base) (strip cur)
-
-(* The bechamel section: entries matched by name, ns/run gated with the
-   tolerance (regressions fail, improvements are reported). *)
-let compare_wallclock ~tolerance base cur =
-  let entries j =
-    match j with
-    | J.List rows ->
-      List.filter_map
-        (fun row ->
-          match (find "name" row, find "ns_per_run" row) with
-          | Some (J.String n), Some v -> Option.map (fun f -> (n, f)) (num v)
-          | _ -> None)
-        rows
-    | _ -> []
-  in
-  let cur_entries = entries cur in
-  List.iter
-    (fun (name, b) ->
-      match List.assoc_opt name cur_entries with
-      | None -> fail "wallclock: %S missing from current run" name
-      | Some c ->
-        if c > b *. (1. +. tolerance) then
-          fail "wallclock: %S regressed %.0f -> %.0f ns/run (+%.0f%% > %.0f%%)"
-            name b c
-            ((c /. b -. 1.) *. 100.)
-            (tolerance *. 100.)
-        else
-          note "wallclock: %S %.0f -> %.0f ns/run (%+.0f%%)" name b c
-            ((c /. b -. 1.) *. 100.))
-    (entries base)
-
-(* Rolling-window trends over the append-only bench history.  Advisory
-   by default: machine-to-machine noise on shared CI runners makes a
-   hard gate on history flap, so regressions become notes and job-
-   summary rows, while the checked-in baseline stays the gate. *)
-let history_trends = ref []
-
-let check_history path =
-  let module H = Finepar_telemetry.History in
-  match H.load ~path with
-  | Error e -> note "history: cannot read %s: %s" path e
-  | Ok entries ->
-    let ts = H.trends (List.map H.metrics_of entries) in
-    history_trends := ts;
-    note "history: %d run(s) in %s" (List.length entries) path;
-    List.iter
-      (fun (t : H.trend) ->
-        match (t.H.verdict, t.H.delta_pct) with
-        | H.Regression, Some d ->
-          note "history: %s regressed %+.1f%% vs rolling window (%.6g -> %.6g)"
-            t.H.metric d
-            (Option.value ~default:Float.nan t.H.window_mean)
-            t.H.last
-        | _ -> ())
-      ts
 
 let markdown ~out ~cur ~speedup =
   let oc = open_out out in
@@ -212,48 +118,9 @@ let markdown ~out ~cur ~speedup =
         | _ -> ());
         p "\n(paper: 1.32 / 2.05 average)\n"
       | None -> ());
-      (match Option.bind (find "sections" cur) (find "engines") with
-      | Some e ->
-        p "\n### Simulation engines (fuzz-corpus replay)\n\n";
-        p "| engine | simulated cycles/second | speedup vs cycle |\n";
-        p "|---|---|---|\n";
-        List.iter
-          (fun (k, v) ->
-            match
-              (String.ends_with ~suffix:"_cycles_per_second" k, num v)
-            with
-            | true, Some rate ->
-              let name =
-                String.sub k 0 (String.length k - String.length
-                                                   "_cycles_per_second")
-              in
-              (match Option.bind (find (name ^ "_speedup") e) num with
-              | Some s -> p "| %s | %.0f | %.2fx |\n" name rate s
-              | None -> p "| %s | %.0f | - |\n" name rate)
-            | _ -> ())
-          (obj_assoc e)
-      | None -> ());
-      (match Option.bind (find "sections" cur) (find "service") with
-      | Some s ->
-        p "\n### Compile-and-simulate service (cold vs warm store)\n\n";
-        p "| domains | cold req/s | warm req/s |\n|---|---|---|\n";
-        let cell k = Option.bind (find k s) num in
-        (match (cell "cold_rps_j1", cell "warm_rps_j1") with
-        | Some c, Some w -> p "| 1 | %.1f | %.1f |\n" c w
-        | _ -> ());
-        (match (cell "cold_rps_j4", cell "warm_rps_j4") with
-        | Some c, Some w -> p "| 4 | %.1f | %.1f |\n" c w
-        | _ -> ());
-        (match cell "warm_speedup" with
-        | Some ws -> p "\nWarm-store speedup over cold: **%.1fx**\n" ws
-        | None -> ())
-      | None -> ());
       (match Option.bind (find "sections" cur) (find "autotune") with
       | Some a ->
         p "\n### Autotune search (found optimum vs Section III-B heuristic)\n\n";
-        (match Option.bind (find "configs_per_second" a) num with
-        | Some cps -> p "%.1f configs evaluated/second\n\n" cps
-        | None -> ());
         p "| kernel | heuristic | best | gap | best configuration |\n";
         p "|---|---|---|---|---|\n";
         (match find "kernels" a with
@@ -276,24 +143,6 @@ let markdown ~out ~cur ~speedup =
             rows
         | _ -> ())
       | None -> ());
-      (match !history_trends with
-      | [] -> ()
-      | ts ->
-        let module H = Finepar_telemetry.History in
-        p "\n### History trend (latest vs rolling window)\n\n";
-        p "| metric | runs | last | window mean | delta | verdict |\n";
-        p "|---|---|---|---|---|---|\n";
-        List.iter
-          (fun (t : H.trend) ->
-            p "| %s | %d | %.6g | %s | %s | %s |\n" t.H.metric t.H.n t.H.last
-              (match t.H.window_mean with
-              | None -> "-"
-              | Some m -> Printf.sprintf "%.6g" m)
-              (match t.H.delta_pct with
-              | None -> "-"
-              | Some d -> Printf.sprintf "%+.1f%%" d)
-              (H.verdict_string t.H.verdict))
-          ts);
       if !failures = [] then p "\nAll paper-accuracy numbers match the baseline.\n"
       else begin
         p "\n### Failures\n\n";
@@ -301,27 +150,13 @@ let markdown ~out ~cur ~speedup =
       end)
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let rec parse files tol cur_s speedup min_speedup md hist = function
-    | [] -> (List.rev files, tol, cur_s, speedup, min_speedup, md, hist)
-    | "--wallclock-tolerance" :: v :: rest ->
-      parse files (float_of_string v) cur_s speedup min_speedup md hist rest
-    | "--current-seconds" :: v :: rest ->
-      parse files tol (Some (float_of_string v)) speedup min_speedup md hist
-        rest
-    | "--speedup" :: v :: rest ->
-      parse files tol cur_s (Some (float_of_string v)) min_speedup md hist rest
-    | "--min-speedup" :: v :: rest ->
-      parse files tol cur_s speedup (Some (float_of_string v)) md hist rest
-    | "--markdown" :: v :: rest ->
-      parse files tol cur_s speedup min_speedup (Some v) hist rest
-    | "--history" :: v :: rest ->
-      parse files tol cur_s speedup min_speedup md (Some v) rest
-    | a :: rest -> parse (a :: files) tol cur_s speedup min_speedup md hist rest
+  let rec parse files speedup md = function
+    | [] -> (List.rev files, speedup, md)
+    | "--speedup" :: v :: rest -> parse files (Some (float_of_string v)) md rest
+    | "--markdown" :: v :: rest -> parse files speedup (Some v) rest
+    | a :: rest -> parse (a :: files) speedup md rest
   in
-  let files, tolerance, cur_seconds, speedup, min_speedup_arg, md, hist =
-    parse [] 0.10 None None None None None (List.tl args)
-  in
+  let files, speedup, md = parse [] None None (List.tl (Array.to_list Sys.argv)) in
   let base_path, cur_path =
     match files with
     | [ b; c ] -> (b, c)
@@ -330,154 +165,16 @@ let () =
       exit 2
   in
   let base = load base_path and cur = load cur_path in
-  let base_sections = Option.value ~default:(J.Obj []) (find "sections" base)
-  and cur_sections = Option.value ~default:(J.Obj []) (find "sections" cur) in
-  List.iter
-    (fun (name, b) ->
-      match find name cur_sections with
-      | None -> fail "section %S missing from current run" name
-      | Some c ->
-        if String.equal name "wallclock" then
-          compare_wallclock ~tolerance b c
-        else if String.equal name "autotune" then compare_autotune b c
-        else if String.equal name "engines" || String.equal name "service"
-        then
-          (* Machine-dependent throughput: gated via meta below. *)
-          ()
-        else compare_exact name b c)
-    (obj_assoc base_sections);
-  List.iter
-    (fun (name, _) ->
-      if
-        find name base_sections = None
-        && not (String.equal name "engines" || String.equal name "service")
-      then note "section %S not in baseline (refresh bench/baseline.json)" name)
-    (obj_assoc cur_sections);
+  let sections j = Option.value ~default:(J.Obj []) (find "sections" j) in
+  compare_exact "sections" (sections base) (sections cur);
   let meta = Option.value ~default:(J.Obj []) (find "meta" base) in
-  (match (cur_seconds, Option.bind (find "par_seconds" meta) num) with
-  | Some cur_s, Some base_s ->
-    if cur_s > base_s *. (1. +. tolerance) then
-      fail "bench wall-clock regressed %.1fs -> %.1fs (+%.0f%% > %.0f%%)"
-        base_s cur_s
-        ((cur_s /. base_s -. 1.) *. 100.)
-        (tolerance *. 100.)
-    else note "bench wall-clock %.1fs (baseline %.1fs)" cur_s base_s
-  | Some cur_s, None -> note "bench wall-clock %.1fs (no baseline seconds)" cur_s
-  | None, _ -> ());
-  let min_speedup =
-    match min_speedup_arg with
-    | Some m -> Some m
-    | None -> Option.bind (find "min_speedup" meta) num
-  in
-  (match (speedup, min_speedup) with
+  (match (speedup, Option.bind (find "min_speedup" meta) num) with
   | Some s, Some m ->
     if s < m then
       fail "parallel harness speedup %.2fx below the %.2fx gate" s m
     else note "parallel harness speedup %.2fx (gate: >= %.2fx)" s m
   | Some s, None -> note "parallel harness speedup %.2fx (no gate)" s
   | None, _ -> ());
-  (* The engines section: per-engine sim-throughput speedup over the
-     cycle stepper on the fuzz corpus.  The gates live in the baseline
-     meta as min_<engine>_speedup keys; both directions must agree —
-     a measured speedup without its gate means the baseline predates
-     the engine, a gate without its row means an engine fell out of the
-     bench — and either way the mismatch fails loudly instead of
-     degrading into an unguarded engine. *)
-  let gate_engines =
-    List.filter_map
-      (fun (k, v) ->
-        if
-          String.starts_with ~prefix:"min_" k
-          && String.ends_with ~suffix:"_speedup" k
-          && String.length k > String.length "min__speedup"
-          (* min_service_* gates belong to the service section below,
-             not to a simulation engine. *)
-          && not (String.starts_with ~prefix:"min_service_" k)
-        then
-          Option.map
-            (fun m ->
-              (String.sub k 4 (String.length k - String.length "min__speedup"),
-               m))
-            (num v)
-        else None)
-      (obj_assoc meta)
-  in
-  (match find "engines" cur_sections with
-  | None ->
-    List.iter
-      (fun (name, _) ->
-        fail
-          "baseline meta gates the %s engine but the current run has no \
-           engines section"
-          name)
-      gate_engines
-  | Some e ->
-    let measured =
-      List.filter_map
-        (fun (k, v) ->
-          if String.ends_with ~suffix:"_speedup" k then
-            Option.map
-              (fun s ->
-                (String.sub k 0 (String.length k - String.length "_speedup"),
-                 s))
-              (num v)
-          else None)
-        (obj_assoc e)
-    in
-    if measured = [] then
-      fail "engines section has no per-engine speedup numbers";
-    List.iter
-      (fun (name, s) ->
-        match List.assoc_opt name gate_engines with
-        | Some m ->
-          if s < m then
-            fail "%s-engine sim-throughput speedup %.2fx below the %.2fx gate"
-              name s m
-          else
-            note "%s-engine sim-throughput speedup %.2fx (gate: >= %.2fx)"
-              name s m
-        | None ->
-          fail
-            "%s-engine speedup %.2fx has no min_%s_speedup gate in the \
-             baseline meta; refresh it with bench/record_baseline.sh"
-            name s name)
-      measured;
-    List.iter
-      (fun (name, m) ->
-        if not (List.mem_assoc name measured) then
-          fail
-            "baseline meta gates the %s engine at %.2fx but the current \
-             engines section has no %s_speedup; refresh the baseline with \
-             bench/record_baseline.sh if the engine was retired"
-            name m name)
-      gate_engines);
-  (* The service section: warm-store throughput over cold, gated
-     against meta.min_service_warm_speedup.  Both missing-key
-     directions fail explicitly — never degrade into an unguarded
-     cache. *)
-  let service_gate = Option.bind (find "min_service_warm_speedup" meta) num in
-  let service_measured =
-    Option.bind (find "service" cur_sections) (fun s ->
-        Option.bind (find "warm_speedup" s) num)
-  in
-  (match (service_gate, service_measured) with
-  | Some m, Some s ->
-    if s < m then
-      fail "service warm-store speedup %.1fx below the %.1fx gate" s m
-    else note "service warm-store speedup %.1fx (gate: >= %.1fx)" s m
-  | Some m, None ->
-    fail
-      "baseline meta gates the service warm-store speedup at %.1fx but the \
-       current run has no service.warm_speedup; refresh the baseline with \
-       bench/record_baseline.sh if the section was retired"
-      m
-  | None, Some s ->
-    fail
-      "service warm-store speedup %.1fx has no min_service_warm_speedup \
-       gate in the baseline meta; refresh it with bench/record_baseline.sh"
-      s
-  | None, None -> ());
-  Option.iter check_history hist;
   (match md with
   | Some out -> markdown ~out ~cur ~speedup
   | None -> ());

@@ -584,16 +584,43 @@ let test_bad_registry_names_fail_in_slot () =
          [ registry; name; F.Repro.Atom (Digest.to_hex (Digest.string "other data")) ])
       good
   in
+  (* The envelopes are strict too: a job that repeats a field, and a
+     request with a field no request kind has. *)
+  let doubled =
+    edit_job
+      (fun items ->
+        items @ [ F.Repro.List [ F.Repro.Atom "workload"; F.Repro.Atom "seed"; F.Repro.Atom "7" ] ])
+      good
+  in
+  let stray =
+    match good with
+    | F.Repro.List items ->
+      F.Repro.List (items @ [ F.Repro.List [ F.Repro.Atom "bogus"; F.Repro.Atom "1" ] ])
+    | atom -> atom
+  in
   let cache = Cache.create (temp_dir ()) in
   let server = Server.create ~cache () in
-  let payload = F.Repro.canon (F.Repro.List [ F.Repro.Atom "batch"; good; unknown; wrong_digest ]) in
+  let payload =
+    F.Repro.canon
+      (F.Repro.List [ F.Repro.Atom "batch"; good; unknown; wrong_digest; doubled; stray ])
+  in
   let first = Server.handle_frame server payload in
   (match Wire.responses_of_string first with
-  | [ Wire.Run_result _; Wire.Error unknown_msg; Wire.Error digest_msg ] ->
+  | [
+   Wire.Run_result _;
+   Wire.Error unknown_msg;
+   Wire.Error digest_msg;
+   Wire.Error doubled_msg;
+   Wire.Error stray_msg;
+  ] ->
     Alcotest.(check bool) ("names the unknown workload: " ^ unknown_msg) true
       (Helpers.contains ~sub:"no-such-kernel" unknown_msg);
     Alcotest.(check bool) ("names the digest: " ^ digest_msg) true
-      (Helpers.contains ~sub:"digest" digest_msg)
+      (Helpers.contains ~sub:"digest" digest_msg);
+    Alcotest.(check bool) ("names the repeated field: " ^ doubled_msg) true
+      (Helpers.contains ~sub:"repeated job field" doubled_msg);
+    Alcotest.(check bool) ("names the unknown field: " ^ stray_msg) true
+      (Helpers.contains ~sub:"unknown request field" stray_msg)
   | _ -> Alcotest.failf "bad batch shape: %s" first);
   let second = Server.handle_frame server payload in
   Alcotest.(check string) "answered alike twice" first second;

@@ -695,139 +695,6 @@ let test_profile_tree () =
     (List.exists (fun (p, _, _, _) -> p = "root/other/leaf") hot)
 
 (* ------------------------------------------------------------------ *)
-(* Bench history and trends.                                           *)
-
-let test_history_roundtrip () =
-  let path = Filename.temp_file "finepar-history" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      T.History.append ~path
-        (T.History.entry ~time:1. ~label:"bench" ~jobs:4
-           ~metrics:[ ("wall_seconds", 2.5); ("pool.imbalance", 1.1) ]);
-      T.History.append ~path
-        (T.History.entry ~time:2. ~label:"bench" ~jobs:4
-           ~metrics:[ ("wall_seconds", 2.6) ]);
-      match T.History.load ~path with
-      | Error e -> Alcotest.fail e
-      | Ok entries ->
-        Alcotest.(check int) "two lines" 2 (List.length entries);
-        Alcotest.(check (list (pair string (float 1e-9))))
-          "metrics survive the round trip"
-          [ ("wall_seconds", 2.5); ("pool.imbalance", 1.1) ]
-          (T.History.metrics_of (List.hd entries)));
-  Alcotest.(check bool) "unreadable file is an error" true
-    (Result.is_error (T.History.load ~path:"/nonexistent/h.jsonl"))
-
-let test_history_direction () =
-  List.iter
-    (fun (metric, want) ->
-      Alcotest.(check bool) metric want (T.History.lower_is_better metric))
-    [
-      ("wall_seconds", true);
-      ("wallclock.compile (4 cores).ns_per_run", true);
-      ("pool.imbalance", true);
-      ("table3.mean_speedup", false);
-      ("fig12.mean_cycles", false);
-    ]
-
-let test_history_trends () =
-  let runs metric series = List.map (fun v -> [ (metric, v) ]) series in
-  let trend_of ts metric =
-    List.find (fun (t : T.History.trend) -> t.T.History.metric = metric) ts
-  in
-  (* A duration creeping up past tolerance regresses... *)
-  let ts = T.History.trends (runs "wall_seconds" [ 1.; 1.; 1.; 1.3 ]) in
-  let t = trend_of ts "wall_seconds" in
-  Alcotest.(check string) "slower wall clock regresses" "REGRESSION"
-    (T.History.verdict_string t.T.History.verdict);
-  Alcotest.(check bool) "any_regression sees it" true
-    (T.History.any_regression ts);
-  (* ...and a duration going down is an improvement, not a regression. *)
-  let ts = T.History.trends (runs "wall_seconds" [ 1.; 1.; 1.; 0.7 ]) in
-  Alcotest.(check string) "faster wall clock is ok" "ok"
-    (T.History.verdict_string
-       (trend_of ts "wall_seconds").T.History.verdict);
-  (* Higher-is-better metrics regress downward. *)
-  let ts = T.History.trends (runs "table3.mean_speedup" [ 2.; 2.; 1.5 ]) in
-  Alcotest.(check string) "dropping speedup regresses" "REGRESSION"
-    (T.History.verdict_string
-       (trend_of ts "table3.mean_speedup").T.History.verdict);
-  (* Within tolerance: ok. *)
-  let ts = T.History.trends (runs "wall_seconds" [ 1.; 1.; 1.05 ]) in
-  Alcotest.(check string) "within tolerance" "ok"
-    (T.History.verdict_string (trend_of ts "wall_seconds").T.History.verdict);
-  (* One run of a metric cannot be judged. *)
-  let ts = T.History.trends [ [ ("fresh", 1.) ] ] in
-  let t = trend_of ts "fresh" in
-  Alcotest.(check string) "single run insufficient" "n/a"
-    (T.History.verdict_string t.T.History.verdict);
-  Alcotest.(check int) "counted once" 1 t.T.History.n;
-  (* The window bounds how far back the judgment looks. *)
-  let ts =
-    T.History.trends ~window:2
-      (runs "wall_seconds" [ 100.; 100.; 1.; 1.; 1.2 ])
-  in
-  let t = trend_of ts "wall_seconds" in
-  Alcotest.(check string) "old outliers age out of the window" "REGRESSION"
-    (T.History.verdict_string t.T.History.verdict);
-  Alcotest.(check (option (float 1e-9))) "window mean" (Some 1.)
-    t.T.History.window_mean
-
-let test_history_summarize () =
-  let doc =
-    T.Json.Obj
-      [
-        ( "sections",
-          T.Json.Obj
-            [
-              ( "table3",
-                T.Json.List
-                  [
-                    T.Json.Obj
-                      [
-                        ("name", T.Json.String "a");
-                        ("speedup", T.Json.Float 2.);
-                        ("cycles", T.Json.Int 100);
-                      ];
-                    T.Json.Obj
-                      [
-                        ("name", T.Json.String "b");
-                        ("speedup", T.Json.Float 4.);
-                        ("cycles", T.Json.Int 300);
-                      ];
-                  ] );
-              ( "wallclock",
-                T.Json.List
-                  [
-                    T.Json.Obj
-                      [
-                        ("name", T.Json.String "compile x");
-                        ("ns_per_run", T.Json.Float 5.);
-                      ];
-                  ] );
-              ("pool", T.Json.Obj [ ("tasks", T.Json.Int 10) ]);
-            ] );
-      ]
-  in
-  let metrics = T.History.summarize_sections doc in
-  let check name want =
-    match List.assoc_opt name metrics with
-    | None -> Alcotest.fail (name ^ " missing")
-    | Some v -> Alcotest.(check (float 1e-9)) name want v
-  in
-  (* Multi-field rows summarize to per-field means... *)
-  check "table3.mean_speedup" 3.;
-  check "table3.mean_cycles" 200.;
-  (* ...while named singletons (the bechamel shape) keep their name AND
-     the field name, so the direction heuristic still applies. *)
-  check "wallclock.compile x.ns_per_run" 5.;
-  Alcotest.(check bool) "named singleton metric is lower-is-better" true
-    (T.History.lower_is_better "wallclock.compile x.ns_per_run");
-  (* Object sections keep their numeric members. *)
-  check "pool.tasks" 10.
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "telemetry"
@@ -883,13 +750,4 @@ let () =
         ] );
       ( "profile tree",
         [ Alcotest.test_case "self/total invariant" `Quick test_profile_tree ] );
-      ( "history",
-        [
-          Alcotest.test_case "append/load round trip" `Quick
-            test_history_roundtrip;
-          Alcotest.test_case "metric direction" `Quick test_history_direction;
-          Alcotest.test_case "rolling-window trends" `Quick test_history_trends;
-          Alcotest.test_case "summarize bench json" `Quick
-            test_history_summarize;
-        ] );
     ]
