@@ -27,6 +27,7 @@
 open Finepar
 module J = Finepar_telemetry.Json
 module Pool = Finepar_exec.Pool
+module Registry = Finepar_kernels.Registry
 
 (* Everything a section needs: the domain pool for its kernel fan-outs
    and the accumulator for machine-readable copies of the printed
@@ -64,7 +65,9 @@ let fig12 ctx =
         r.Experiments.s4)
     rows;
   let a2, a4 = Experiments.fig12_averages rows in
-  Fmt.pr "%-10s %8.2f %8.2f   (paper: 1.32 / 2.05)@." "average" a2 a4;
+  let paper cores = List.assoc cores Registry.paper_fig12_avg in
+  Fmt.pr "%-10s %8.2f %8.2f   (paper: %.2f / %.2f)@." "average" a2 a4
+    (paper 2) (paper 4);
   collect ctx "fig12"
     (J.Obj
        [
@@ -121,11 +124,11 @@ let table3 ctx =
         "%-10s | %5d %5d %7.2f %4d %3d %5.2f | %5d %5d %7.2f %4d %3d %5.2f@."
         r.Experiments.t3_name r.Experiments.fibers r.Experiments.deps
         r.Experiments.balance r.Experiments.com_ops r.Experiments.queues
-        r.Experiments.t3_speedup p.Finepar_kernels.Registry.p_fibers
-        p.Finepar_kernels.Registry.p_deps p.Finepar_kernels.Registry.p_balance
-        p.Finepar_kernels.Registry.p_com_ops
-        p.Finepar_kernels.Registry.p_queues
-        p.Finepar_kernels.Registry.p_speedup4)
+        r.Experiments.t3_speedup p.Registry.p_fibers
+        p.Registry.p_deps p.Registry.p_balance
+        p.Registry.p_com_ops
+        p.Registry.p_queues
+        p.Registry.p_speedup4)
     t3;
   collect ctx "table3"
     (J.List
@@ -179,7 +182,9 @@ let fig13 ctx =
   List.iter
     (fun (p : Experiments.fig13_point) -> Fmt.pr " %7.2f" p.Experiments.f13_avg)
     points;
-  Fmt.pr "   (paper avg: 2.05 / 1.85 / 1.36 / ~1.0)@.";
+  Fmt.pr "   (paper avg: %s)@."
+    (String.concat " / "
+       (List.map (fun (_, s) -> Printf.sprintf "%.2f" s) Registry.paper_fig13_avg));
   Fmt.pr "%-10s" "none<=1.0";
   List.iter
     (fun (p : Experiments.fig13_point) ->
@@ -220,14 +225,15 @@ let fig14 ctx =
            r.Experiments.speculated > r.Experiments.base *. 1.02)
          rows)
   in
+  let paper_base, paper_chosen = Registry.paper_fig14 in
   Fmt.pr
-    "%-10s %8.2f %10s %8.2f   improved: %d kernels (paper: 2.05 -> 2.33, 8 \
+    "%-10s %8.2f %10s %8.2f   improved: %d kernels (paper: %.2f -> %.2f, 8 \
      kernels)@."
     "average"
     (avg (fun r -> r.Experiments.base))
     ""
     (avg (fun r -> r.Experiments.chosen))
-    improved;
+    improved paper_base paper_chosen;
   collect ctx "fig14"
     (J.Obj
        [

@@ -316,16 +316,10 @@ let run_cmd =
       registry_job ~issue_width ~comm ~name ~cores ~latency ~queue_len
         ~speculation ~throughput ()
     in
-    (* {!Job.speedup}'s protocol, with the parallel compile kept so the
-       stats printed are those of the compile that was measured. *)
+    (* The stats printed are those of the compile that was measured. *)
     let seq, c, par =
       with_evaluator ~engine None @@ fun evaluator ->
-      let seq, profile_counters = Job.profile evaluator job in
-      let job = { job with Job.profile_counters } in
-      try
-        let c = Job.compile job in
-        (seq, c, (Job.run ~engine job c).Runner.cycles)
-      with e -> raise (Job.Failed (Printexc.to_string e))
+      Job.measured_speedup ~engine evaluator job
     in
     Fmt.pr "kernel      %s@." name;
     Fmt.pr "sequential  %d cycles@." seq;
@@ -1259,7 +1253,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Long-running compile-and-simulate server: batched \
-          compile/run/verify requests over a Unix domain socket (or \
+          compile/run requests over a Unix domain socket (or \
           stdin/stdout), fanned out over a domain pool and answered \
           from a persistent content-addressed result cache")
     Term.(

@@ -6,10 +6,6 @@
     heuristic; they are deliberately approximate (Section III-I notes the
     compiler cannot estimate time accurately). *)
 
-val expr_cycles :
-  tenv:Finepar_ir.Expr.tenv ->
-  profile:Profile.t -> Finepar_ir.Expr.t -> int
-val store_cycles : int
 val sstmt_cycles :
   tenv:Finepar_ir.Expr.tenv ->
   profile:Profile.t -> Finepar_ir.Region.sstmt -> int

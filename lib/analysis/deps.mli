@@ -24,7 +24,6 @@ type edge_kind =
   | Anti of string
   | Mem of string
 type edge = { src : int; dst : int; kind : edge_kind; }
-val pp_edge_kind : Format.formatter -> edge_kind -> unit
 val pp_edge : Format.formatter -> edge -> unit
 type t = {
   region : Finepar_ir.Region.t;

@@ -12,8 +12,6 @@ type t = {
   hit_latency : int;
   miss_latency : int;
 }
-val default_hit_latency : int
-val default_miss_latency : int
 val all_hits : t
 val of_counters :
   ?hit_latency:int -> ?miss_latency:int -> (string * int * int) list -> t

@@ -33,9 +33,7 @@ type features = {
   pred_raw_chain : bool;
   stores : int;
 }
-val count_conditionals : Finepar_ir.Stmt.t list -> int
 val features : Finepar_ir.Kernel.t -> features
-val classify_features : features -> category
 val classify : Finepar_ir.Kernel.t -> category
 type funnel = {
   total : int;

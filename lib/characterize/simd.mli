@@ -16,12 +16,4 @@ type report = {
   scalar_cycles : int;
   simd_speedup : float;
 }
-val unit_stride :
-  induction:String.t ->
-  lookup:(string -> Finepar_analysis.Affine.t option) ->
-  Finepar_ir.Expr.t -> bool
-val stmt_vectorizable :
-  induction:String.t ->
-  lookup:(string -> Finepar_analysis.Affine.t option) ->
-  tainted:SS.t -> Finepar_ir.Region.sstmt -> bool
 val estimate : ?width:int -> Finepar_ir.Kernel.t -> report

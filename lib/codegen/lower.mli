@@ -13,65 +13,8 @@
     (b) a transferred predicate value is always dequeued before anything
     guarded by it. *)
 
-module SS : Set.S with type elt = String.t and type t = Set.Make(String).t
 exception Codegen_error of string
-val codegen_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
-val qclass_of_ty : Finepar_ir.Types.ty -> Finepar_machine.Isa.qclass
-module Queues :
-  sig
-    type t = {
-      tbl : (int * int * Finepar_machine.Isa.qclass, int) Hashtbl.t;
-      mutable specs : Finepar_machine.Isa.queue_spec list;
-      mutable count : int;
-    }
-    val create : unit -> t
-    val id : t -> src:int -> dst:int -> cls:Finepar_machine.Isa.qclass -> int
-    val to_array : t -> Finepar_machine.Isa.queue_spec array
-  end
-type const_key = Kint of int | Kfloat of int64
-val const_key : Finepar_ir.Types.value -> const_key
-type core_ctx = {
-  core : int;
-  b : Finepar_machine.Program.Builder.b;
-  var_reg : (string, Finepar_machine.Isa.reg) Hashtbl.t;
-  const_reg : (const_key, Finepar_machine.Isa.reg) Hashtbl.t;
-}
-val new_ctx : int -> core_ctx
-val reg_def : core_ctx -> string -> Finepar_machine.Isa.reg
-val reg_use : core_ctx -> string -> Finepar_machine.Isa.reg
-val creg : core_ctx -> Finepar_ir.Types.value -> Finepar_machine.Isa.reg
-val emit_const_pool : core_ctx -> Finepar_ir.Types.value list -> unit
-val lower_expr :
-  core_ctx ->
-  array_id:(string -> int) -> Finepar_ir.Expr.t -> Finepar_machine.Isa.reg
-val lower_into :
-  core_ctx -> array_id:(string -> int) -> string -> Finepar_ir.Expr.t -> unit
-type item =
-    It_fiber of Finepar_ir.Region.sstmt
-  | It_enq of Finepar_transform.Comm.transfer
-  | It_deq of Finepar_transform.Comm.transfer
-val item_preds : item -> Finepar_ir.Region.pred list
 
-type shared_info = {
-  sh_flag_arr : int;
-  sh_data_arr : Finepar_ir.Types.ty -> int;
-  sh_slot : Finepar_transform.Comm.transfer -> Finepar_transform.Comm.slot;
-}
-(** Shared-cache lowering context: ids of the synthetic handshake arrays
-    and each transfer's canonical slot. *)
-
-val shared_slot_of :
-  Finepar_transform.Comm.t ->
-  Finepar_transform.Comm.transfer -> Finepar_transform.Comm.slot
-
-val emit_items :
-  core_ctx ->
-  array_id:(string -> int) ->
-  queues:Queues.t ->
-  shared:shared_info option -> fiber_of:(item -> int) -> item list -> unit
-val consts_of_expr : Finepar_ir.Expr.t -> Finepar_ir.Types.value list
-val consts_of_items :
-  shared:shared_info option -> item list -> Finepar_ir.Types.value list
 type t = {
   program : Finepar_machine.Program.t;
   cores_used : int;
@@ -80,10 +23,6 @@ type t = {
   queue_pairs_static : int;
   warnings : string list;
 }
-val entry_vars :
-  kernel:Finepar_ir.Kernel.t ->
-  deps:Finepar_analysis.Deps.t ->
-  cluster_of:'a array -> core:'a -> item list -> SS.elt list
 val generate :
   kernel:Finepar_ir.Kernel.t ->
   region:Finepar_ir.Region.t ->

@@ -14,11 +14,6 @@ type kernel_run = {
   par_cycles : int;
   speedup : float;
 }
-val run_entry :
-  ?config:Compiler.config ->
-  ?machine:Finepar_machine.Config.t ->
-  cores:int ->
-  Finepar_kernels.Registry.entry -> kernel_run
 val mean : float list -> float
 type table1_row = {
   t1_name : string;

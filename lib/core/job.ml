@@ -90,6 +90,16 @@ let speedup evaluator job =
   in
   (seq_cycles, par_cycles, float_of_int seq_cycles /. float_of_int par_cycles)
 
+let measured_speedup ~engine evaluator job =
+  let seq_cycles, profile_counters = profile evaluator job in
+  let job = { job with profile_counters } in
+  match
+    let c = compile job in
+    (c, (run ~engine job c).Runner.cycles)
+  with
+  | c, par_cycles -> (seq_cycles, c, par_cycles)
+  | exception e -> raise (Failed (Printexc.to_string e))
+
 let autotune_candidates (base : Compiler.config) =
   [
     ("sequential", { base with Compiler.cores = 1 });

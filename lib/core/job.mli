@@ -103,6 +103,18 @@ val speedup : evaluator -> t -> int * int * float
     feedback.  Returns [(sequential cycles, parallel cycles, speedup)].
     @raise Failed if either run errors. *)
 
+val measured_speedup :
+  engine:Finepar_machine.Engine.t ->
+  evaluator ->
+  t ->
+  int * Compiler.compiled * int
+(** [measured_speedup ~engine ev job] is {!speedup}'s protocol keeping
+    the parallel compile it measured: the sequential cycles (measured by
+    [ev]), the compile of [job] fed that run's load counters, and its
+    cycles (run in process under [engine]).  The cycles are the ones
+    {!speedup} measures.
+    @raise Failed if either run errors. *)
+
 val autotune_candidates : Compiler.config -> (string * Compiler.config) list
 (** The fixed candidate enumeration behind {!autotune} — sequential,
     baseline, speculation, throughput, their combination, and multi-pair

@@ -136,91 +136,6 @@ let of_sim ?compiled (sim : Sim.t) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Metrics registry view *)
-
-let bounds_of h =
-  T.Histogram.buckets h
-  |> List.filter_map (fun (le, _) -> if le = max_int then None else Some le)
-  |> Array.of_list
-
-let metrics t =
-  let m = T.Metrics.create () in
-  T.Metrics.incr ~by:t.cycles (T.Metrics.counter m "sim_cycles_total");
-  T.Metrics.incr ~by:t.instrs (T.Metrics.counter m "sim_instructions_total");
-  T.Metrics.incr ~by:t.wait_cycles (T.Metrics.counter m "sim_wait_cycles_total");
-  T.Metrics.incr ~by:t.dropped_events
-    (T.Metrics.counter m "trace_events_dropped_total");
-  List.iter
-    (fun r ->
-      let core = [ ("core", string_of_int r.core) ] in
-      let cnt name v =
-        T.Metrics.incr ~by:v (T.Metrics.counter m ~labels:core name)
-      in
-      cnt "core_instructions_total" r.instrs;
-      let stall cls v =
-        T.Metrics.incr ~by:v
-          (T.Metrics.counter m
-             ~labels:(core @ [ ("class", cls) ])
-             "core_stall_cycles_total")
-      in
-      stall "operand" r.stall_operand;
-      stall "queue_full" r.stall_queue_full;
-      stall "queue_empty" r.stall_queue_empty;
-      let wait kind v =
-        T.Metrics.incr ~by:v
-          (T.Metrics.counter m
-             ~labels:(core @ [ ("kind", kind) ])
-             "core_wait_cycles_total")
-      in
-      wait "branch" r.branch_wait;
-      wait "smt" r.smt_wait;
-      wait "halted" r.idle_after_halt;
-      cnt "core_dual_issued_total" r.dual_issued;
-      T.Histogram.merge_into
-        ~into:
-          (T.Metrics.histogram m ~labels:core
-             ~bounds:(bounds_of r.stall_episodes)
-             "core_stall_episode_cycles")
-        r.stall_episodes)
-    t.cores;
-  List.iter
-    (fun q ->
-      let labels =
-        [
-          ("queue", string_of_int q.queue);
-          ("src", string_of_int q.src);
-          ("dst", string_of_int q.dst);
-        ]
-      in
-      T.Metrics.incr ~by:q.transfers
-        (T.Metrics.counter m ~labels "queue_transfers_total");
-      T.Metrics.set
-        (T.Metrics.gauge m ~labels "queue_max_occupancy")
-        (float_of_int q.max_occupancy);
-      T.Histogram.merge_into
-        ~into:
-          (T.Metrics.histogram m ~labels
-             ~bounds:(bounds_of q.occupancy)
-             "queue_occupancy")
-        q.occupancy)
-    t.queues;
-  List.iter
-    (fun f ->
-      let fiber =
-        [ ("fiber", if f.fiber >= 0 then string_of_int f.fiber else "glue") ]
-      in
-      let cnt kind v =
-        T.Metrics.incr ~by:v
-          (T.Metrics.counter m
-             ~labels:(fiber @ [ ("kind", kind) ])
-             "fiber_cycles_total")
-      in
-      cnt "issue" f.issue;
-      cnt "stall" f.stall)
-    t.fibers;
-  m
-
-(* ------------------------------------------------------------------ *)
 (* JSON / CSV *)
 
 let to_json t =
@@ -281,7 +196,76 @@ let to_json t =
              t.fibers) );
     ]
 
-let to_csv t = T.Metrics.to_csv (metrics t)
+(* One row per sample, histograms flattened to count/sum/min/max.  The
+   labels column is [k=v] pairs joined by commas, unquoted. *)
+let to_csv t =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "name,labels,kind,value,count,sum,min,max\n";
+  let row name labels kind cols =
+    Printf.bprintf buf "%s,%s,%s,%s\n" name
+      (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels))
+      kind cols
+  in
+  let counter ?(labels = []) name v =
+    row name labels "counter" (Printf.sprintf "%d,,,," v)
+  in
+  let histogram labels name h =
+    let opt = function Some v -> string_of_int v | None -> "" in
+    row name labels "histogram"
+      (Printf.sprintf ",%d,%d,%s,%s" (T.Histogram.count h) (T.Histogram.sum h)
+         (opt (T.Histogram.min_value h))
+         (opt (T.Histogram.max_value h)))
+  in
+  counter "sim_cycles_total" t.cycles;
+  counter "sim_instructions_total" t.instrs;
+  counter "sim_wait_cycles_total" t.wait_cycles;
+  counter "trace_events_dropped_total" t.dropped_events;
+  List.iter
+    (fun r ->
+      let core = [ ("core", string_of_int r.core) ] in
+      counter ~labels:core "core_instructions_total" r.instrs;
+      List.iter
+        (fun (cls, v) ->
+          counter ~labels:(core @ [ ("class", cls) ]) "core_stall_cycles_total" v)
+        [
+          ("operand", r.stall_operand);
+          ("queue_full", r.stall_queue_full);
+          ("queue_empty", r.stall_queue_empty);
+        ];
+      List.iter
+        (fun (kind, v) ->
+          counter ~labels:(core @ [ ("kind", kind) ]) "core_wait_cycles_total" v)
+        [
+          ("branch", r.branch_wait);
+          ("smt", r.smt_wait);
+          ("halted", r.idle_after_halt);
+        ];
+      counter ~labels:core "core_dual_issued_total" r.dual_issued;
+      histogram core "core_stall_episode_cycles" r.stall_episodes)
+    t.cores;
+  List.iter
+    (fun q ->
+      let labels =
+        [
+          ("queue", string_of_int q.queue);
+          ("src", string_of_int q.src);
+          ("dst", string_of_int q.dst);
+        ]
+      in
+      counter ~labels "queue_transfers_total" q.transfers;
+      row "queue_max_occupancy" labels "gauge"
+        (Printf.sprintf "%g,,,," (float_of_int q.max_occupancy));
+      histogram labels "queue_occupancy" q.occupancy)
+    t.queues;
+  List.iter
+    (fun f ->
+      let fiber =
+        ("fiber", if f.fiber >= 0 then string_of_int f.fiber else "glue")
+      in
+      counter ~labels:[ fiber; ("kind", "issue") ] "fiber_cycles_total" f.issue;
+      counter ~labels:[ fiber; ("kind", "stall") ] "fiber_cycles_total" f.stall)
+    t.fibers;
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Human-readable report *)

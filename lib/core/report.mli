@@ -1,7 +1,7 @@
 (** Post-run telemetry: per-core, per-queue and per-fiber attribution
     tables derived from one simulation, with exporters to JSON, CSV
-    (via the metrics registry) and the Chrome [trace_event] format
-    (loadable in [chrome://tracing] or Perfetto). *)
+    and the Chrome [trace_event] format (loadable in [chrome://tracing]
+    or Perfetto). *)
 
 (** One simulated core's cycle accounting.  The integer fields
     partition the run's cycles exactly:
@@ -65,7 +65,12 @@ type t = {
 val of_sim : ?compiled:Compiler.compiled -> Finepar_machine.Sim.t -> t
 
 val to_json : t -> Finepar_telemetry.Json.t
+
+(** One row per counter, gauge or histogram, under the header
+    [name,labels,kind,value,count,sum,min,max]; a histogram fills
+    count/sum/min/max, the others [value]. *)
 val to_csv : t -> string
+
 val pp : Format.formatter -> t -> unit
 
 (** Chrome [trace_event] timeline of a traced simulation: one lane per

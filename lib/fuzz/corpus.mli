@@ -13,11 +13,6 @@ val files : string -> string list
     missing. *)
 
 val load_file : string -> entry
-val replay_file :
-  ?compile:Oracle.compile_fn ->
-  ?engine:Finepar_machine.Engine.t ->
-  string ->
-  replay
 
 val replay_dir :
   ?compile:Oracle.compile_fn ->

@@ -25,8 +25,6 @@ type summary = {
   failures : failure_report list;
 }
 
-val derive_seed : root:int -> int -> int
-(** The per-case seed of case [i] in a campaign rooted at [root]. *)
 
 val run :
   ?compile:Oracle.compile_fn ->

@@ -22,8 +22,6 @@ val gen_kernel : Rng.t -> Finepar_ir.Kernel.t
     on a generator bug). *)
 
 val gen_config : Rng.t -> Finepar.Compiler.config
-val gen_placement : Rng.t -> int -> placement
-val gen_case : Rng.t -> case
 
 val case_of_seed : int -> case
 (** The case a given integer seed generates — the unit of

@@ -20,10 +20,6 @@ val parse_sexp : string -> sexp
     whitespace-bearing atom).  Raises {!Parse_error} on malformed
     input. *)
 
-val pp_sexp : Format.formatter -> sexp -> unit
-(** Pretty-printer with hv-box line breaking — for human-facing
-    reproducer files.  Not canonical: the rendering depends on the
-    formatter margin.  Use {!canon} for digests and wire frames. *)
 
 val canon : sexp -> string
 (** Canonical single-line rendering: one space between siblings, atoms
@@ -70,8 +66,6 @@ val sexp_of_kernel : Finepar_ir.Kernel.t -> sexp
 val kernel_of_sexp : sexp -> Finepar_ir.Kernel.t
 (** [kernel_of_sexp] re-validates; raises {!Finepar_ir.Kernel.Invalid}. *)
 
-val sexp_of_machine : Finepar_machine.Config.t -> sexp
-val machine_of_sexp : sexp -> Finepar_machine.Config.t
 val sexp_of_config : Finepar.Compiler.config -> sexp
 val config_of_sexp : ?extra:string list -> sexp -> Finepar.Compiler.config
 (** [sexp_of_config] records the structural knobs (cores, height,
@@ -82,8 +76,6 @@ val config_of_sexp : ?extra:string list -> sexp -> Finepar.Compiler.config
     (see {!Finepar_service.Wire}); any other unknown field is rejected
     with {!Parse_error}. *)
 
-val sexp_of_case : Gen.case -> sexp
-val case_of_sexp : sexp -> Gen.case
 
 (** {2 Whole-file interface} *)
 

@@ -5,7 +5,6 @@ val stmt_count : Finepar_ir.Kernel.t -> int
 (** Statements in the body, counting into conditional branches. *)
 
 val kernel_cost : Finepar_ir.Kernel.t -> int
-val case_cost : Gen.case -> int
 
 val kernel_candidates : Finepar_ir.Kernel.t -> Finepar_ir.Kernel.t list
 (** One-step kernel reductions (all validated). *)

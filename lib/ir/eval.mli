@@ -12,11 +12,9 @@ type state = {
   arrays : (string, Types.value array) Hashtbl.t;
 }
 val init_state : Kernel.t -> workload -> state
-val get_scalar : state -> string -> Types.value
 val get_array : state -> string -> Types.value array
 val check_bounds : string -> 'a array -> int -> unit
 val eval_expr : state -> Expr.t -> Types.value
-val exec_stmt : state -> Stmt.t -> unit
 val run : ?workload:workload -> Kernel.t -> state
 type result = {
   live_out : (string * Types.value) list;

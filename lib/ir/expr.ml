@@ -81,20 +81,6 @@ let rec height = function
   | Binop (_, a, b) -> 1 + max (height a) (height b)
   | Select (c, t, f) -> 1 + max (height c) (max (height t) (height f))
 
-(** Static latency estimate (sum of operator latencies, no memory). *)
-let rec compute_latency ty_of e =
-  match e with
-  | Const _ | Var _ -> 0
-  | Load (_, idx) -> compute_latency ty_of idx
-  | Unop (op, a) -> Op_cost.unop_latency op (ty_of e) + compute_latency ty_of a
-  | Binop (op, a, b) ->
-    Op_cost.binop_latency op (ty_of a)
-    + compute_latency ty_of a + compute_latency ty_of b
-  | Select (c, t, f) ->
-    Op_cost.select_latency
-    + compute_latency ty_of c + compute_latency ty_of t
-    + compute_latency ty_of f
-
 (** Type environment: scalar types and array element types. *)
 type tenv = { var_ty : string -> ty; array_ty : string -> ty }
 

@@ -22,7 +22,6 @@ val arrays_read : t -> String_set.t
 val loads : t -> (string * t) list
 val op_count : t -> int
 val height : t -> int
-val compute_latency : (t -> Types.ty) -> t -> int
 type tenv = {
   var_ty : string -> Types.ty;
   array_ty : string -> Types.ty;

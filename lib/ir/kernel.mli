@@ -26,7 +26,6 @@ type t = {
 }
 exception Invalid of string
 val invalid : ('a, Format.formatter, unit, 'b) format4 -> 'a
-val find_array : t -> String.t -> array_decl option
 val find_scalar : t -> String.t -> scalar_decl option
 val tenv : t -> Expr.tenv
 val trip_count : t -> int

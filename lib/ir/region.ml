@@ -54,7 +54,6 @@ type sstmt = {
 type t = {
   kernel : Kernel.t;  (** header: iteration space, declarations, live-outs *)
   stmts : sstmt list;
-  temp_prefix : string;
 }
 
 let pp_sstmt ppf s =
@@ -168,13 +167,7 @@ let of_kernel ?(max_height = default_max_height) (k : Kernel.t) =
       List.iter (walk (preds @ [ { cnd = cv; want = false } ])) f
   in
   List.iter (walk []) k.Kernel.body;
-  { kernel = k; stmts = List.rev !out; temp_prefix }
-
-(** Whether a variable is a flattening temporary (single-assignment by
-    construction). *)
-let is_temp r v =
-  String.length v >= String.length r.temp_prefix
-  && String.sub v 0 (String.length r.temp_prefix) = r.temp_prefix
+  { kernel = k; stmts = List.rev !out }
 
 (** Evaluate a region directly (used to validate that flattening preserves
     kernel semantics). *)

@@ -21,8 +21,6 @@ type pred = { cnd : string; want : bool; }
 val pred_equal : pred -> pred -> bool
 val preds_equal : pred list -> pred list -> bool
 val preds_prefix : pred list -> pred list -> bool
-val pp_pred : Format.formatter -> pred -> unit
-val pp_preds : Format.formatter -> pred list -> unit
 type lhs = Lscalar of string | Lstore of string * Expr.t
 type sstmt = {
   id : int;
@@ -34,14 +32,12 @@ type sstmt = {
 type t = {
   kernel : Kernel.t;
   stmts : sstmt list;
-  temp_prefix : string;
 }
 val pp_sstmt : Format.formatter -> sstmt -> unit
 val pp : Format.formatter -> t -> unit
 val default_max_height : int
 val is_simple : Expr.t -> bool
 val of_kernel : ?max_height:int -> Kernel.t -> t
-val is_temp : t -> string -> bool
 val eval : ?workload:Eval.workload -> t -> Eval.result
 val sstmt_uses : sstmt -> Expr.String_set.t
 val sstmt_def : sstmt -> string option

@@ -42,7 +42,6 @@ val pp_binop : Format.formatter -> binop -> unit
 val is_comparison : binop -> bool
 val unop_result_ty : unop -> ty -> ty
 val binop_result_ty : binop -> ty -> ty
-val bool_value : bool -> value
 val apply_unop : unop -> value -> value
 val apply_binop : binop -> value -> value -> value
 val value_is_true : value -> bool

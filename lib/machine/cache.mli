@@ -8,6 +8,5 @@ val create : bytes:int -> line:int -> span:int -> t
     bytes only: every address later passed to {!access} or
     {!invalidate} must lie in [\[0, span)]. *)
 
-val set_and_tag : t -> int -> int * int
 val access : t -> int -> bool
 val invalidate : t -> int -> unit

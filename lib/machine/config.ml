@@ -40,4 +40,3 @@ let default =
   }
 
 let with_transfer_latency latency t = { t with transfer_latency = latency }
-let with_issue_width width t = { t with issue_width = width }

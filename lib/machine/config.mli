@@ -21,4 +21,3 @@ type t = {
 }
 val default : t
 val with_transfer_latency : int -> t -> t
-val with_issue_width : int -> t -> t

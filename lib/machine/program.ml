@@ -124,9 +124,6 @@ let max_fiber t =
     (fun acc c -> Array.fold_left max acc c.fiber_of)
     no_fiber t.cores
 
-let total_instrs t =
-  Array.fold_left (fun acc c -> acc + Array.length c.code) 0 t.cores
-
 let pp_core ppf (c : core_program) =
   Array.iteri
     (fun i instr ->

@@ -55,6 +55,4 @@ module Builder :
 (** Largest fiber id appearing in any core's provenance, or {!no_fiber}
     when the program carries only glue. *)
 val max_fiber : t -> int
-val total_instrs : t -> int
-val pp_core : Format.formatter -> core_program -> unit
 val pp : Format.formatter -> t -> unit

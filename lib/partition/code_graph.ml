@@ -49,18 +49,6 @@ let build ~(profile : Profile.t) (r : Region.t) (deps : Deps.t) =
 
 let n_nodes t = Array.length t.nodes
 
-(** Edges whose endpoints lie in different entries of [cluster_of] and that
-    carry a value at run time (data or control). *)
-let cross_value_edges t (cluster_of : int array) =
-  List.filter
-    (fun (e : Deps.edge) ->
-      cluster_of.(e.Deps.src) <> cluster_of.(e.Deps.dst)
-      &&
-      match e.Deps.kind with
-      | Deps.Data _ | Deps.Control _ -> true
-      | Deps.Anti _ | Deps.Mem _ -> false)
-    t.deps.Deps.edges
-
 let pp ppf t =
   Fmt.pf ppf "@[<v>code graph: %d nodes@,%a@]" (n_nodes t)
     Fmt.(

@@ -18,5 +18,4 @@ val build :
   profile:Finepar_analysis.Profile.t ->
   Finepar_ir.Region.t -> Finepar_analysis.Deps.t -> t
 val n_nodes : t -> int
-val cross_value_edges : t -> int array -> Finepar_analysis.Deps.edge list
 val pp : Format.formatter -> t -> unit

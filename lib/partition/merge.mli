@@ -29,5 +29,4 @@ val run :
   ?max_queue_pairs:int ->
   ?weights:Affinity.weights ->
   cores:int -> Code_graph.t -> result
-val ops_per_cluster : Code_graph.t -> result -> int array
 val load_balance : Code_graph.t -> result -> float

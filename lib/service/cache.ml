@@ -3,8 +3,8 @@
     A key is (kernel digest, config digest, request kind, code
     version); the digests are MD5 over {!Wire}'s digest inputs (the
     kernel's canonical text; the rest of the job's canonical text plus
-    its workload's values in binary), the kind tells run, compile and
-    verify answers apart, and the code version invalidates everything
+    its workload's values in binary), the kind tells run and compile
+    answers apart, and the code version invalidates everything
     when the pipeline's result semantics change (see {!Version} and
     DESIGN.md).  The engine of a run request is not part of the key:
     both engines answer with the same bytes, so an answer computed

@@ -8,7 +8,7 @@
 type key = {
   kernel_digest : string;  (** MD5 hex of {!Wire.kernel_canon} *)
   config_digest : string;  (** MD5 hex of {!Wire.config_digest_input} *)
-  kind : string;  (** {!Wire.kind_slot}: ["run"], ["compile"] or ["verify"] *)
+  kind : string;  (** {!Wire.kind_slot}: ["run"] or ["compile"] *)
   version : string;  (** {!Version.code_version} unless overridden *)
 }
 

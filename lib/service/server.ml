@@ -47,25 +47,6 @@ let run_response compiled (job : Wire.job) engine =
       report = r.Runner.telemetry;
     }
 
-let verify_response compiled =
-  let queue_len =
-    compiled.Compiler.config.Compiler.machine
-      .Finepar_machine.Config.queue_len
-  in
-  let res =
-    Finepar_verify.Verify.run ~plan:compiled.Compiler.comm
-      ~mode:compiled.Compiler.config.Compiler.comm_mode ~queue_len
-      compiled.Compiler.code.Finepar_codegen.Lower.program
-  in
-  Wire.Verify_result
-    {
-      ok = Finepar_verify.Verify.ok res;
-      violations =
-        List.map
-          (Fmt.str "%a" Finepar_verify.Verify.pp_violation)
-          res.Finepar_verify.Verify.violations;
-    }
-
 (* (canonical response string, cacheable).  Errors are deterministic
    but never cached: a stored error would mask a later fix only a code
    version bump could clear. *)
@@ -77,7 +58,6 @@ let task_response compiled req =
       match req with
       | Wire.Run { job; engine } -> run_response compiled job engine
       | Wire.Compile _ -> Wire.Compile_result compiled.Compiler.stats
-      | Wire.Verify _ -> verify_response compiled
       | Wire.Stats | Wire.Ping | Wire.Shutdown -> assert false
     in
     match response () with
@@ -110,7 +90,7 @@ let control t = function
   | Wire.Shutdown ->
     t.stop <- true;
     Wire.Shutdown_ack
-  | Wire.Run _ | Wire.Compile _ | Wire.Verify _ -> assert false
+  | Wire.Run _ | Wire.Compile _ -> assert false
 
 let handle_requests t (reqs : (Wire.request, string) result list) :
     string list =

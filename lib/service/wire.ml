@@ -39,7 +39,6 @@ type job = Finepar.Job.t = {
 type request =
   | Run of { job : job; engine : Engine.t }
   | Compile of job
-  | Verify of job
   | Stats
   | Ping
   | Shutdown
@@ -56,7 +55,6 @@ type run_payload = {
 type response =
   | Run_result of run_payload
   | Compile_result of Finepar.Compiler.stats
-  | Verify_result of { ok : bool; violations : string list }
   | Stats_result of (string * int) list
   | Pong of string
   | Shutdown_ack
@@ -268,8 +266,6 @@ let sexp_of_request = function
       ]
   | Compile job ->
     List [ Atom "request"; List [ Atom "kind"; Atom "compile" ]; sexp_of_job job ]
-  | Verify job ->
-    List [ Atom "request"; List [ Atom "kind"; Atom "verify" ]; sexp_of_job job ]
   | Stats -> List [ Atom "request"; List [ Atom "kind"; Atom "stats" ] ]
   | Ping -> List [ Atom "request"; List [ Atom "kind"; Atom "ping" ] ]
   | Shutdown -> List [ Atom "request"; List [ Atom "kind"; Atom "shutdown" ] ]
@@ -277,15 +273,10 @@ let sexp_of_request = function
 let request_of_sexp s =
   match s with
   | List (Atom "request" :: _) -> (
-    let kind = atom (field "kind" s) in
-    check_fields ~what:"request" s
-      ~known:
-        (match kind with
-        | "run" -> [ "kind"; "engine"; "job" ]
-        | "compile" | "verify" -> [ "kind"; "job" ]
-        | _ -> [ "kind" ]);
-    match kind with
+    let fields known = check_fields ~what:"request" s ~known in
+    match atom (field "kind" s) with
     | "run" ->
+      fields [ "kind"; "engine"; "job" ];
       let engine_name = atom (field "engine" s) in
       let engine =
         match Engine.of_string engine_name with
@@ -295,16 +286,23 @@ let request_of_sexp s =
             (String.concat ", " (List.map Engine.to_string Engine.all))
       in
       Run { job = job_of_sexp (section "job" s); engine }
-    | "compile" -> Compile (job_of_sexp (section "job" s))
-    | "verify" -> Verify (job_of_sexp (section "job" s))
-    | "stats" -> Stats
-    | "ping" -> Ping
-    | "shutdown" -> Shutdown
+    | "compile" ->
+      fields [ "kind"; "job" ];
+      Compile (job_of_sexp (section "job" s))
+    | "stats" ->
+      fields [ "kind" ];
+      Stats
+    | "ping" ->
+      fields [ "kind" ];
+      Ping
+    | "shutdown" ->
+      fields [ "kind" ];
+      Shutdown
     | k -> err "unknown request kind %S" k)
   | _ -> err "expected (request ...)"
 
 let job_of_request = function
-  | Run { job; _ } | Compile job | Verify job -> Some job
+  | Run { job; _ } | Compile job -> Some job
   | Stats | Ping | Shutdown -> None
 
 (* The cache key's kind component.  The engine is deliberately absent:
@@ -313,7 +311,6 @@ let job_of_request = function
 let kind_slot = function
   | Run _ -> Some "run"
   | Compile _ -> Some "compile"
-  | Verify _ -> Some "verify"
   | Stats | Ping | Shutdown -> None
 
 (* Digest inputs.  The kernel digest covers the program text alone; the
@@ -590,14 +587,6 @@ let sexp_of_response = function
       ]
   | Compile_result st ->
     List [ Atom "response"; List [ Atom "kind"; Atom "compile" ]; sexp_of_stats st ]
-  | Verify_result { ok; violations } ->
-    List
-      [
-        Atom "response";
-        List [ Atom "kind"; Atom "verify" ];
-        List [ Atom "ok"; Atom (string_of_bool ok) ];
-        List (Atom "violations" :: List.map (fun v -> Atom v) violations);
-      ]
   | Stats_result counters ->
     List
       [
@@ -641,12 +630,6 @@ let response_of_sexp s =
           report = report_of_sexp (section "report" s);
         }
     | "compile" -> Compile_result (stats_of_sexp (section "stats" s))
-    | "verify" ->
-      Verify_result
-        {
-          ok = bool_of (field "ok" s);
-          violations = List.map atom (field_items "violations" s);
-        }
     | "stats" ->
       Stats_result
         (List.map

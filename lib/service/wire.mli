@@ -46,7 +46,6 @@ type request =
           answer with the same bytes, so it is not part of the cache
           key *)
   | Compile of job
-  | Verify of job
   | Stats  (** cache hit/miss counters — not cached itself *)
   | Ping  (** liveness + code version — not cached *)
   | Shutdown
@@ -63,7 +62,6 @@ type run_payload = {
 type response =
   | Run_result of run_payload
   | Compile_result of Finepar.Compiler.stats
-  | Verify_result of { ok : bool; violations : string list }
   | Stats_result of (string * int) list
   | Pong of string  (** code version *)
   | Shutdown_ack
@@ -75,8 +73,8 @@ val job_of_request : request -> job option
 (** The job a cacheable request carries; [None] for control requests. *)
 
 val kind_slot : request -> string option
-(** The cache key's request-kind component: ["run"], ["compile"] or
-    ["verify"]; [None] for control requests.  The engine of a [Run] is
+(** The cache key's request-kind component: ["run"] or ["compile"];
+    [None] for control requests.  The engine of a [Run] is
     not part of the key. *)
 
 val kernel_canon : job -> string
@@ -121,8 +119,5 @@ val request_of_sexp : Finepar_fuzz.Repro.sexp -> request
 val sexp_of_config : Finepar.Compiler.config -> Finepar_fuzz.Repro.sexp
 val config_of_sexp : Finepar_fuzz.Repro.sexp -> Finepar.Compiler.config
 val sexp_of_job : job -> Finepar_fuzz.Repro.sexp
-val job_of_sexp : Finepar_fuzz.Repro.sexp -> job
 val sexp_of_report : Finepar.Report.t -> Finepar_fuzz.Repro.sexp
 val report_of_sexp : Finepar_fuzz.Repro.sexp -> Finepar.Report.t
-val sexp_of_result : Finepar_ir.Eval.result -> Finepar_fuzz.Repro.sexp
-val result_of_sexp : Finepar_fuzz.Repro.sexp -> Finepar_ir.Eval.result

@@ -122,16 +122,6 @@ let buckets t =
 (** Sum of all bucket counts; always equals [count]. *)
 let bucket_total t = Array.fold_left ( + ) 0 t.counts
 
-let merge_into ~into t =
-  if into.bounds <> t.bounds then invalid_arg "Histogram.merge_into: bounds differ";
-  Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) t.counts;
-  into.count <- into.count + t.count;
-  into.sum <- into.sum + t.sum;
-  if t.count > 0 then begin
-    if t.min < into.min then into.min <- t.min;
-    if t.max > into.max then into.max <- t.max
-  end
-
 let to_json t =
   let pct q =
     match percentile t q with None -> Json.Null | Some v -> Json.Int v

@@ -48,7 +48,4 @@ val buckets : t -> (int * int) list
 (** Sum of all bucket counts; always equals [count]. *)
 val bucket_total : t -> int
 
-(** Accumulate [t] into [into]; both must share the same bounds. *)
-val merge_into : into:t -> t -> unit
-
 val to_json : t -> Json.t

@@ -1,7 +1,7 @@
 (** Host-side span tracing.
 
-    Where the metrics registry and the simulator's per-cycle accounting
-    observe the {e simulated machine}, the tracer observes the {e host
+    Where the simulator's per-cycle accounting observes the {e
+    simulated machine}, the tracer observes the {e host
     pipeline itself}: compiler and verifier passes, simulator runs,
     fuzz cases, domain-pool tasks.  A span is a named wall-clock
     interval with a category, the domain it ran on, a parent link (the

@@ -21,10 +21,4 @@
     with the condition). *)
 
 module SS : Set.S with type elt = String.t and type t = Set.Make(String).t
-val eligible_branches :
-  defined:SS.t -> Finepar_ir.Stmt.t list -> Finepar_ir.Stmt.t list -> bool
-val rename_branch :
-  suffix:string ->
-  Finepar_ir.Stmt.t list ->
-  Finepar_ir.Stmt.t list * (string, string) Hashtbl.t
 val apply : Finepar_ir.Kernel.t -> Finepar_ir.Kernel.t * int

@@ -10,10 +10,7 @@
 (** Named affinity-weight presets: the paper's default mix plus three
     single-heuristic-dominant corners (dependence, compute time, source
     proximity — Section III-B's three affinity heuristics). *)
-val weight_presets : (string * Finepar_partition.Affinity.weights) list
 
-val weights_name : Finepar_partition.Affinity.weights -> string
-(** The preset name, or ["dep/time/prox"] floats for an unnamed mix. *)
 
 val describe : Finepar.Compiler.config -> string
 (** A compact human-readable summary, e.g.

@@ -794,6 +794,43 @@ let in_loop_ops items =
     (function P_op _ -> [] | P_loop l -> under l.l_items)
     items
 
+(* A transfer's guard path: the branch directions of its predicates. *)
+let wants (tr : Comm.transfer) =
+  List.map (fun (p : Region.pred) -> p.Region.want) tr.Comm.preds
+
+(* Check a core's communication ops [actual], in program order, against
+   the [expected] (sort key, signature) pairs from {!Comm.placement}.
+   The walk goes in key groups: within a group (ops sharing one key) any
+   order is a valid sort, so a group compares as a sorted multiset of
+   signatures.  The first deviating group is reported to [mismatch]
+   ([here] is its actual ops) and ends the walk. *)
+let check_placement ~count_mismatch ~mismatch ~sig_of expected actual =
+  let expected = List.sort (fun (k1, _) (k2, _) -> compare k1 k2) expected in
+  let n_exp = List.length expected and n_act = List.length actual in
+  if n_exp <> n_act then count_mismatch n_act n_exp
+  else
+    let rec walk expected actual =
+      match expected with
+      | [] -> ()
+      | (key, _) :: _ ->
+        let group, expected' =
+          List.partition (fun (k, _) -> k = key) expected
+        in
+        let rec split n acc l =
+          if n = 0 then (List.rev acc, l)
+          else
+            match l with
+            | x :: rest -> split (n - 1) (x :: acc) rest
+            | [] -> (List.rev acc, [])
+        in
+        let here, actual' = split (List.length group) [] actual in
+        let exp_sig = List.sort compare (List.map snd group) in
+        let act_sig = List.sort compare (List.map sig_of here) in
+        if exp_sig <> act_sig then mismatch here exp_sig act_sig
+        else walk expected' actual'
+    in
+    walk expected actual
+
 let conformance_check add (program : Program.t) (plan : Comm.t) summaries =
   let queues = program.Program.queues in
   let qid_of =
@@ -805,9 +842,6 @@ let conformance_check add (program : Program.t) (plan : Comm.t) summaries =
     fun (tr : Comm.transfer) ->
       Hashtbl.find_opt tbl
         (tr.Comm.src_core, tr.Comm.dst_core, qclass_of_ty tr.Comm.ty)
-  in
-  let wants (tr : Comm.transfer) =
-    List.map (fun (p : Region.pred) -> p.Region.want) tr.Comm.preds
   in
   Array.iteri
     (fun core (items, _) ->
@@ -843,72 +877,27 @@ let conformance_check add (program : Program.t) (plan : Comm.t) summaries =
           (fun (key, enq, tr) -> event key enq tr)
           (Comm.placement plan ~core)
       in
-      if not !missing then begin
-        let expected =
-          List.sort (fun (k1, _) (k2, _) -> compare k1 k2) events
+      if not !missing then
+        let op_str (e, q, _) =
+          Fmt.str "%s q%d" (if e then "enq" else "deq") q
         in
-        let actual = in_loop_ops items in
-        let n_exp = List.length expected and n_act = List.length actual in
-        if n_exp <> n_act then
-          fail (first_pc items) None
-            (Fmt.str
-               "kernel loop carries %d communication op(s) but the comm \
-                plan schedules %d"
-               n_act n_exp)
-        else begin
-          (* Walk expected in key groups; within a group (enqueues with
-             identical anchor and seq) any order is a valid sort. *)
-          let cmp = compare in
-          let rec walk expected actual =
-            match expected with
-            | [] -> ()
-            | (key, _) :: _ ->
-              let group, expected' =
-                List.partition (fun (k, _) -> k = key) expected
-              in
-              let g = List.length group in
-              let rec split n acc l =
-                if n = 0 then (List.rev acc, l)
-                else
-                  match l with
-                  | x :: rest -> split (n - 1) (x :: acc) rest
-                  | [] -> (List.rev acc, [])
-              in
-              let here, actual' = split g [] actual in
-              let exp_sig = List.sort cmp (List.map snd group) in
-              let act_sig =
-                List.sort cmp
-                  (List.map
-                     (fun (o : qop) -> (o.o_enq, o.o_queue, o.o_path))
-                     here)
-              in
-              if exp_sig <> act_sig then begin
-                let pc =
-                  match here with o :: _ -> Some o.o_pc | [] -> None
-                in
-                let queue =
-                  match exp_sig with (_, q, _) :: _ -> Some q | [] -> None
-                in
-                fail pc queue
-                  (Fmt.str
-                     "in-loop comm order deviates from the plan: expected \
-                      %s, found %s"
-                     (String.concat "+"
-                        (List.map
-                           (fun (e, q, _) ->
-                             Fmt.str "%s q%d" (if e then "enq" else "deq") q)
-                           exp_sig))
-                     (String.concat "+"
-                        (List.map
-                           (fun (e, q, _) ->
-                             Fmt.str "%s q%d" (if e then "enq" else "deq") q)
-                           act_sig)))
-              end
-              else walk expected' actual'
-          in
-          walk expected actual
-        end
-      end)
+        check_placement events (in_loop_ops items)
+          ~sig_of:(fun (o : qop) -> (o.o_enq, o.o_queue, o.o_path))
+          ~count_mismatch:(fun n_act n_exp ->
+            fail (first_pc items) None
+              (Fmt.str
+                 "kernel loop carries %d communication op(s) but the comm \
+                  plan schedules %d"
+                 n_act n_exp))
+          ~mismatch:(fun here exp_sig act_sig ->
+            fail
+              (match here with o :: _ -> Some o.o_pc | [] -> None)
+              (match exp_sig with (_, q, _) :: _ -> Some q | [] -> None)
+              (Fmt.str
+                 "in-loop comm order deviates from the plan: expected %s, \
+                  found %s"
+                 (String.concat "+" (List.map op_str exp_sig))
+                 (String.concat "+" (List.map op_str act_sig)))))
     summaries
 
 (* ------------------------------------------------------------------ *)
@@ -953,9 +942,6 @@ let shared_check add (program : Program.t) (plan : Comm.t) parsed =
       Hashtbl.find
         tbl
         (tr.Comm.src_core, tr.Comm.dst_core, tr.Comm.ty, tr.Comm.seq)
-  in
-  let wants (tr : Comm.transfer) =
-    List.map (fun (p : Region.pred) -> p.Region.want) tr.Comm.preds
   in
   let sig_str (send, f, d, c, _path) =
     Fmt.str "%s flag%d/%s%d"
@@ -1099,10 +1085,8 @@ let shared_check add (program : Program.t) (plan : Comm.t) parsed =
             | Break _ -> go path rest))
       in
       go [] nodes;
-      let actual = List.rev !ops in
-      (* Expected handshakes: the plan's transfers under the exact sort
-         keys the code generator uses (sends in anchor order, receives
-         in producer-anchor order with the suffix-min hoist). *)
+      (* Expected handshakes: the plan's transfers under the sort keys
+         the code generator places them by. *)
       let sig_of send tr =
         let sl = slot_of tr in
         ( send,
@@ -1111,79 +1095,24 @@ let shared_check add (program : Program.t) (plan : Comm.t) parsed =
           cls_of_ty tr.Comm.ty,
           wants tr )
       in
-      let sends =
-        List.filter_map
-          (fun (tr : Comm.transfer) ->
-            if tr.Comm.src_core = core then
-              Some ((tr.Comm.enq_anchor, 2, tr.Comm.seq), sig_of true tr)
-            else None)
-          plan.Comm.transfers
-      in
-      let recv_trs =
-        List.filter
-          (fun (tr : Comm.transfer) -> tr.Comm.dst_core = core)
-          plan.Comm.transfers
-        |> List.sort (fun (a : Comm.transfer) (b : Comm.transfer) ->
-               compare
-                 (a.Comm.enq_anchor, a.Comm.src_core, a.Comm.ty, a.Comm.seq)
-                 (b.Comm.enq_anchor, b.Comm.src_core, b.Comm.ty, b.Comm.seq))
-        |> Array.of_list
-      in
-      let anchors = Array.map (fun tr -> tr.Comm.deq_anchor) recv_trs in
-      for i = Array.length anchors - 2 downto 0 do
-        if anchors.(i + 1) < anchors.(i) then anchors.(i) <- anchors.(i + 1)
-      done;
-      let recvs =
-        List.init (Array.length recv_trs) (fun i ->
-            ((anchors.(i), 0, i), sig_of false recv_trs.(i)))
-      in
-      let expected =
-        List.sort (fun (k1, _) (k2, _) -> compare k1 k2) (sends @ recvs)
-      in
-      let n_exp = List.length expected and n_act = List.length actual in
-      if n_exp <> n_act then
-        fail None
-          (Fmt.str "core carries %d handshake(s) but the comm plan schedules %d"
-             n_act n_exp)
-      else begin
-        (* Same group-tolerant walk as the queue-mode FIFO check: within
-           a key group any order is a valid sort. *)
-        let rec walk expected actual =
-          match expected with
-          | [] -> ()
-          | (key, _) :: _ ->
-            let group, expected' =
-              List.partition (fun (k, _) -> k = key) expected
-            in
-            let g = List.length group in
-            let rec split n acc l =
-              if n = 0 then (List.rev acc, l)
-              else
-                match l with
-                | x :: rest -> split (n - 1) (x :: acc) rest
-                | [] -> (List.rev acc, [])
-            in
-            let here, actual' = split g [] actual in
-            let exp_sig = List.sort compare (List.map snd group) in
-            let act_sig =
-              List.sort compare
-                (List.map
-                   (fun o ->
-                     (o.sc_send, o.sc_flag, o.sc_data, o.sc_cls, o.sc_path))
-                   here)
-            in
-            if exp_sig <> act_sig then
-              fail
-                (match here with o :: _ -> Some o.sc_pc | [] -> None)
-                (Fmt.str
-                   "handshake order deviates from the plan: expected %s, \
-                    found %s"
-                   (String.concat "+" (List.map sig_str exp_sig))
-                   (String.concat "+" (List.map sig_str act_sig)))
-            else walk expected' actual'
-        in
-        walk expected actual
-      end)
+      check_placement
+        (List.map
+           (fun (key, send, tr) -> (key, sig_of send tr))
+           (Comm.placement plan ~core))
+        (List.rev !ops)
+        ~sig_of:(fun o -> (o.sc_send, o.sc_flag, o.sc_data, o.sc_cls, o.sc_path))
+        ~count_mismatch:(fun n_act n_exp ->
+          fail None
+            (Fmt.str
+               "core carries %d handshake(s) but the comm plan schedules %d"
+               n_act n_exp))
+        ~mismatch:(fun here exp_sig act_sig ->
+          fail
+            (match here with o :: _ -> Some o.sc_pc | [] -> None)
+            (Fmt.str
+               "handshake order deviates from the plan: expected %s, found %s"
+               (String.concat "+" (List.map sig_str exp_sig))
+               (String.concat "+" (List.map sig_str act_sig)))))
     parsed
 
 (* ------------------------------------------------------------------ *)

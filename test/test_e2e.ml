@@ -198,6 +198,34 @@ let test_average_speedups () =
     (a4 > 1.6 && a4 < 2.4);
   Alcotest.(check bool) "4 cores beat 2 cores on average" true (a4 > a2)
 
+(* A Table III row describes one compile: the profile-fed 4-core
+   compile whose run gives its speedup, not a second compile without
+   feedback. *)
+let test_table3_reports_measured_compile () =
+  let module E = Finepar.Experiments in
+  let module C = Finepar.Compiler in
+  let module Job = Finepar.Job in
+  let evaluator = Job.direct ~engine:Finepar_machine.Engine.default () in
+  List.iter2
+    (fun (r : E.table3_row) (e : Registry.entry) ->
+      let job =
+        Job.make ~workload:e.Registry.workload ~cores:4 e.Registry.kernel
+      in
+      let _, profile_counters = Job.profile evaluator job in
+      let st = (Job.compile { job with Job.profile_counters }).C.stats in
+      let _, _, s = Job.speedup evaluator job in
+      let name = r.E.t3_name in
+      Alcotest.(check string) "row order" e.Registry.kernel.Kernel.name name;
+      Alcotest.(check int) (name ^ " fibers") st.C.initial_fibers r.E.fibers;
+      Alcotest.(check int) (name ^ " deps") st.C.data_deps r.E.deps;
+      Alcotest.(check (float 0.)) (name ^ " balance") st.C.load_balance
+        r.E.balance;
+      Alcotest.(check int) (name ^ " com_ops") st.C.com_ops r.E.com_ops;
+      Alcotest.(check int) (name ^ " queues") st.C.queue_pairs_static
+        r.E.queues;
+      Alcotest.(check (float 0.)) (name ^ " speedup") s r.E.t3_speedup)
+    (E.table3 ()) Registry.all
+
 let test_umt2k6_slows_down () =
   let e = Option.get (Registry.find "umt2k-6") in
   let _, _, s =
@@ -292,6 +320,8 @@ let () =
         [
           Alcotest.test_case "average speedups in band" `Slow
             test_average_speedups;
+          Alcotest.test_case "table3 reports the measured compile" `Quick
+            test_table3_reports_measured_compile;
           Alcotest.test_case "umt2k-6 slows down" `Quick
             test_umt2k6_slows_down;
           Alcotest.test_case "latency degrades speedup" `Slow

@@ -54,7 +54,7 @@ let requests_of_seed seed =
   List.map
     (fun engine -> Wire.Run { job; engine })
     Finepar_machine.Engine.all
-  @ [ Wire.Compile job; Wire.Verify job ]
+  @ [ Wire.Compile job ]
 
 (* ------------------------------------------------------------------ *)
 (* Wire round-trips.                                                   *)
@@ -238,7 +238,7 @@ let test_response_roundtrip_with_report () =
         Alcotest.(check string) "report CSV survives decode"
           (Finepar.Report.to_csv p.Wire.report)
           (Finepar.Report.to_csv report')
-      | Wire.Compile_result _ | Wire.Verify_result _ -> ()
+      | Wire.Compile_result _ -> ()
       | _ -> Alcotest.fail "unexpected response kind")
     responses
 
@@ -333,9 +333,6 @@ let test_key_sensitivity () =
   Alcotest.(check bool) "engine leaves the key unchanged" true
     (key (Wire.Run { job = base_job; engine = Compiled }) = base);
   check_differs "request kind (compile)" (Wire.Compile base_job);
-  check_differs "request kind (verify)" (Wire.Verify base_job);
-  Alcotest.(check bool) "verify and compile differ" false
-    (key (Wire.Verify base_job) = key (Wire.Compile base_job));
   (* Control requests are keyless. *)
   List.iter
     (fun req ->
@@ -638,7 +635,7 @@ let test_registry_frame_mutations () =
       [
         Wire.Run { job = entry "sphot-1"; engine = Compiled };
         Wire.Compile (entry "umt2k-1");
-        Wire.Verify (entry "umt2k-5");
+        Wire.Compile (entry "umt2k-5");
       ]
   in
   let batch items = F.Repro.canon (F.Repro.List (F.Repro.Atom "batch" :: items)) in
@@ -836,6 +833,53 @@ let test_malformed_items_reported_in_slot () =
       [ "event"; "cycle"; "compiled" ]
   | _ -> Alcotest.failf "bad batch shape: %s" out
 
+(* The retired verify kind: [Job.compile] already runs the verifier, so
+   a compile request answers what verify did.  A verify request in an
+   old client's batch is an Error in its own slot; the run and compile
+   slots around it are answered, and stored, as if it were absent. *)
+let test_verify_kind_fails_in_slot () =
+  let job = registry_job (Option.get (Registry.find "lammps-3")) in
+  let run = Wire.Run { job; engine = Compiled } and compile = Wire.Compile job in
+  let verify =
+    F.Repro.List
+      [
+        F.Repro.Atom "request";
+        F.Repro.List [ F.Repro.Atom "kind"; F.Repro.Atom "verify" ];
+        Wire.sexp_of_job job;
+      ]
+  in
+  let cache = Cache.create (temp_dir ()) in
+  let server = Server.create ~cache () in
+  let out =
+    Server.handle_frame server
+      (F.Repro.canon
+         (F.Repro.List
+            [
+              F.Repro.Atom "batch";
+              Wire.sexp_of_request run;
+              verify;
+              Wire.sexp_of_request compile;
+            ]))
+  in
+  let alone =
+    Server.handle_requests
+      (Server.create ~cache:(Cache.create (temp_dir ())) ())
+      [ Ok run; Ok compile ]
+  in
+  (match Wire.batch_items_of_string out with
+  | [ r; v; c ] -> (
+    Alcotest.(check (list string)) "run and compile answered as if alone" alone
+      [ F.Repro.canon r; F.Repro.canon c ];
+    match Wire.response_of_string (F.Repro.canon v) with
+    | Wire.Error msg ->
+      Alcotest.(check bool) ("names the verify kind: " ^ msg) true
+        (Helpers.contains ~sub:"unknown request kind" msg
+        && Helpers.contains ~sub:"verify" msg)
+    | _ -> Alcotest.failf "verify slot answered: %s" out)
+  | _ -> Alcotest.failf "bad batch shape: %s" out);
+  Alcotest.(check int) "only run and compile stored" 2
+    (List.assoc "stores" (Cache.counters cache))
+
 let test_bad_frame_header_answered () =
   (* A header that is not a byte count in 0..max_frame gets one Error
      frame quoting it, after the frames before it were answered; nothing
@@ -1005,6 +1049,8 @@ let () =
             test_registry_frame_mutations;
           Alcotest.test_case "malformed batch items fail in place" `Quick
             test_malformed_items_reported_in_slot;
+          Alcotest.test_case "a verify request fails in its slot" `Quick
+            test_verify_kind_fails_in_slot;
           Alcotest.test_case "a bad frame header gets an error frame" `Quick
             test_bad_frame_header_answered;
         ] );

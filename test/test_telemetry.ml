@@ -1,5 +1,5 @@
-(* Telemetry tests: the primitives (ring buffer, histograms, metrics
-   registry, JSON, Chrome trace events, pass timers) and the simulator
+(* Telemetry tests: the primitives (ring buffer, histograms, JSON,
+   Chrome trace events, pass timers) and the simulator
    invariants they are meant to uphold — exhaustive per-core cycle
    accounting, queue occupancy bounds, histogram conservation, and
    fiber-level attribution summing to the run's total cycles. *)
@@ -66,17 +66,6 @@ let test_histogram_bounds_generators () =
     (Invalid_argument "Histogram.create: no buckets") (fun () ->
       ignore (T.Histogram.create ~bounds:[||]))
 
-let test_histogram_merge () =
-  let a = T.Histogram.create ~bounds:[| 1; 2 |] in
-  let b = T.Histogram.create ~bounds:[| 1; 2 |] in
-  List.iter (T.Histogram.observe a) [ 1; 5 ];
-  List.iter (T.Histogram.observe b) [ 2; 2; 9 ];
-  T.Histogram.merge_into ~into:a b;
-  Alcotest.(check int) "merged count" 5 (T.Histogram.count a);
-  Alcotest.(check int) "merged sum" 19 (T.Histogram.sum a);
-  Alcotest.(check (option int)) "merged max" (Some 9)
-    (T.Histogram.max_value a)
-
 let test_histogram_observe_qcheck =
   QCheck.Test.make ~name:"histogram conserves observations" ~count:200
     QCheck.(list (int_bound 64))
@@ -120,42 +109,6 @@ let test_json_escaping () =
             ("a", T.Json.Int 1);
             ("b", T.Json.List [ T.Json.Bool true; T.Json.Null ]);
           ]))
-
-(* ------------------------------------------------------------------ *)
-(* Metrics registry.                                                   *)
-
-let test_metrics_registry () =
-  let m = T.Metrics.create () in
-  let c = T.Metrics.counter m ~labels:[ ("core", "0") ] "instrs" in
-  T.Metrics.incr c;
-  T.Metrics.incr ~by:4 c;
-  Alcotest.(check int) "counter accumulates" 5 (T.Metrics.counter_value c);
-  let c' = T.Metrics.counter m ~labels:[ ("core", "0") ] "instrs" in
-  T.Metrics.incr c';
-  Alcotest.(check int) "find-or-create shares state" 6
-    (T.Metrics.counter_value c);
-  let g = T.Metrics.gauge m "occupancy" in
-  T.Metrics.set g 2.5;
-  Alcotest.(check (float 0.0)) "gauge set" 2.5 (T.Metrics.gauge_value g);
-  let h = T.Metrics.histogram m ~bounds:[| 1; 2 |] "lat" in
-  T.Histogram.observe h 1;
-  Alcotest.(check int) "histogram registered live" 1 (T.Histogram.count h);
-  Alcotest.(check int) "three samples" 3 (List.length (T.Metrics.samples m));
-  Alcotest.check_raises "negative incr rejected"
-    (Invalid_argument "Metrics.incr: counters only increase") (fun () ->
-      T.Metrics.incr ~by:(-1) c);
-  Alcotest.check_raises "kind mismatch rejected"
-    (Invalid_argument "Metrics: instrs already registered with another kind")
-    (fun () -> ignore (T.Metrics.gauge m ~labels:[ ("core", "0") ] "instrs"))
-
-let test_metrics_csv () =
-  let m = T.Metrics.create () in
-  T.Metrics.incr ~by:7 (T.Metrics.counter m ~labels:[ ("k", "v") ] "c");
-  let csv = T.Metrics.to_csv m in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check string) "header" "name,labels,kind,value,count,sum,min,max"
-    (List.nth lines 0);
-  Alcotest.(check string) "row" "c,k=v,counter,7,,,," (List.nth lines 1)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace events.                                                *)
@@ -325,6 +278,48 @@ let test_report_invariants () =
           true
           (f.Report.partition >= 0 && f.Report.partition < t.Report.n_cores))
     t.Report.fibers
+
+(* Golden digest of [Report.to_csv] over the registry: 18 kernels x
+   4 configurations (2 and 4 cores on queues, 4 cores on the shared
+   cache, 4 cores at issue width 2) x 3 placements = 216 reports.  Pins
+   the CSV's rows, their order, labels and number formatting.  Update
+   the digest only for an intended change of the CSV layout or of the
+   simulated counts. *)
+let golden_csv_digest = "0aa2f7ae0395433a08d1a1b1b5ffba27"
+
+let test_report_csv_golden () =
+  let configs =
+    let c ?(comm_mode = Finepar_transform.Comm.Queues) ?(issue_width = 1)
+        cores =
+      ( { Finepar_machine.Config.default with issue_width },
+        { (Compiler.default_config ~cores ()) with Compiler.comm_mode } )
+    in
+    [ c 2; c 4; c ~comm_mode:Finepar_transform.Comm.Shared_cache 4;
+      c ~issue_width:2 4 ]
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (e : Finepar_kernels.Registry.entry) ->
+      List.iter
+        (fun (machine, config) ->
+          List.iter
+            (fun placement ->
+              let job =
+                {
+                  (Job.make ~machine ~config ~workload:e.Finepar_kernels.Registry.workload
+                     ~cores:config.Compiler.cores e.Finepar_kernels.Registry.kernel)
+                  with
+                  Job.placement;
+                }
+              in
+              let r = Job.eval ~engine:Finepar_machine.Engine.default job in
+              Buffer.add_string buf (Report.to_csv r.Runner.telemetry))
+            [ Job.Identity; Job.Mod2; Job.Div2 ])
+        configs)
+    Finepar_kernels.Registry.all;
+  Alcotest.(check string)
+    "csv digest" golden_csv_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let test_chrome_trace_of_sim () =
   let _, sim = sim_of ~cores:4 "lammps-1" in
@@ -711,7 +706,6 @@ let () =
           Alcotest.test_case "buckets" `Quick test_histogram_buckets;
           Alcotest.test_case "bounds generators" `Quick
             test_histogram_bounds_generators;
-          Alcotest.test_case "merge" `Quick test_histogram_merge;
           Alcotest.test_case "percentile" `Quick test_histogram_percentile;
           QCheck_alcotest.to_alcotest test_histogram_observe_qcheck;
         ] );
@@ -720,11 +714,6 @@ let () =
         [
           Alcotest.test_case "escaping" `Quick test_json_escaping;
           Alcotest.test_case "round trip" `Quick test_json_roundtrip;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "registry" `Quick test_metrics_registry;
-          Alcotest.test_case "csv" `Quick test_metrics_csv;
         ] );
       ( "chrome trace",
         [ Alcotest.test_case "event shapes" `Quick test_chrome_trace_shapes ] );
@@ -740,6 +729,7 @@ let () =
         [
           Alcotest.test_case "invariants" `Quick test_report_invariants;
           Alcotest.test_case "chrome export" `Quick test_chrome_trace_of_sim;
+          Alcotest.test_case "csv golden" `Quick test_report_csv_golden;
         ] );
       ( "tracer",
         [
