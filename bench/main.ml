@@ -91,7 +91,7 @@ let table2 ctx rows =
   section "table2" "expected whole-application speedups (paper Table II)";
   Fmt.pr "%-10s %8s %8s %10s %10s@." "app" "2-core" "4-core" "paper-2c"
     "paper-4c";
-  let t2 = Experiments.table2 ?pool:ctx.pool ~fig12_rows:rows () in
+  let t2 = Experiments.table2 rows in
   List.iter
     (fun (r : Experiments.table2_row) ->
       Fmt.pr "%-10s %8.2f %8.2f %10.2f %10.2f@." r.Experiments.t2_app
@@ -288,16 +288,21 @@ let ablation name title rows ~paper_note =
     (avg (fun r -> r.Experiments.ab_variant))
     up down paper_note
 
+(* Section III-B: merge every cycle so partitions have only
+   unidirectional dependences. *)
 let ablation_throughput ctx =
   ablation "ablation_throughput"
     "throughput heuristic: unidirectional partitions only (Section III-B)"
-    (Experiments.throughput_ablation ?pool:ctx.pool ())
+    (Experiments.ablation ?pool:ctx.pool (fun c ->
+         { c with Compiler.throughput = true }))
     ~paper_note:"(paper: 3 improved, 6 degraded, ~11% average slowdown)"
 
+(* Section III-B: the multi-pair merge against single-pair greedy. *)
 let ablation_multipair ctx =
   ablation "ablation_multipair"
     "multi-pair merge variant (faster compilation, Section III-B)"
-    (Experiments.multipair_ablation ?pool:ctx.pool ())
+    (Experiments.ablation ?pool:ctx.pool (fun c ->
+         { c with Compiler.algorithm = `Multi_pair }))
     ~paper_note:"(paper: used for compile time; quality comparable)"
 
 let ablation_rows_json rows =
@@ -312,8 +317,14 @@ let ablation_rows_json rows =
            ])
        rows)
 
+(* Section II: every cross-core transfer lowered to a spin-wait
+   valid-flag handshake through the ordinary cache hierarchy instead of
+   the paper's hardware queues. *)
 let ablation_comm ctx =
-  let rows = Experiments.comm_mode_ablation ?pool:ctx.pool () in
+  let rows =
+    Experiments.ablation ?pool:ctx.pool (fun c ->
+        { c with Compiler.comm_mode = Finepar_transform.Comm.Shared_cache })
+  in
   ablation "ablation_comm"
     "hardware queues vs shared-cache valid-flag coupling (Section II)" rows
     ~paper_note:
@@ -321,8 +332,18 @@ let ablation_comm ctx =
        handshakes pay full load/store latency per transfer)";
   collect ctx "ablation_comm" (ablation_rows_json rows)
 
+(* Every core dual-issue: both columns are speedups over a sequential
+   baseline on the same machine, so the variant pits 4 dual-issue cores
+   against 1 (thread-level vs instruction-level parallelism). *)
 let ablation_issue_width ctx =
-  let rows = Experiments.issue_width_ablation ?pool:ctx.pool () in
+  let rows =
+    Experiments.ablation ?pool:ctx.pool (fun c ->
+        {
+          c with
+          Compiler.machine =
+            { c.Compiler.machine with Finepar_machine.Config.issue_width = 2 };
+        })
+  in
   ablation "ablation_issue_width"
     "single-issue vs dual-issue cores (thread-level vs ILP)" rows
     ~paper_note:

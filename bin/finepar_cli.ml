@@ -120,11 +120,10 @@ let registry_job ?(issue_width = 1) ?(comm = Finepar_transform.Comm.Queues)
       Compiler.speculation;
       throughput;
       comm_mode = comm;
+      machine = machine_of ~issue_width ~latency ~queue_len ();
     }
   in
-  Job.make
-    ~machine:(machine_of ~issue_width ~latency ~queue_len ())
-    ~config ~workload:e.Registry.workload ~cores e.Registry.kernel
+  Job.make ~config ~workload:e.Registry.workload ~cores e.Registry.kernel
 
 (* ------------------------------------------------------------------ *)
 (* Service routing: with --via, sweep/autotune/report/fuzz-replay send
@@ -568,8 +567,9 @@ let sweep_cmd =
         let machine = machine_of ~latency ~queue_len () in
         let _, _, s =
           Job.speedup evaluator
-            (Job.make ~machine ~workload:e.Registry.workload ~cores
-               e.Registry.kernel)
+            (Job.make
+               ~config:{ (Compiler.default_config ()) with Compiler.machine }
+               ~workload:e.Registry.workload ~cores e.Registry.kernel)
         in
         Fmt.pr "%-10d %8.2f@." latency s)
       latencies
@@ -710,8 +710,9 @@ let autotune_cmd =
     let tuned =
       with_evaluator ~engine via @@ fun evaluator ->
       Job.autotune evaluator
-        (Job.make ~machine ~workload:e.Registry.workload ~cores
-           e.Registry.kernel)
+        (Job.make
+           ~config:{ (Compiler.default_config ()) with Compiler.machine }
+           ~workload:e.Registry.workload ~cores e.Registry.kernel)
     in
     Fmt.pr "%a" Tune_search.pp_autotune tuned
   in
@@ -1296,8 +1297,9 @@ let request_cmd =
       List.map
         (fun (e : Registry.entry) ->
           run
-            (Job.make ~machine ~workload:e.Registry.workload ~cores
-               e.Registry.kernel))
+            (Job.make
+               ~config:{ (Compiler.default_config ()) with Compiler.machine }
+               ~workload:e.Registry.workload ~cores e.Registry.kernel))
         Registry.all
     in
     let corpus_reqs =

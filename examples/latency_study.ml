@@ -51,6 +51,12 @@ let speedup =
   Finepar.Job.speedup
     (Finepar.Job.direct ~engine:Finepar_machine.Engine.default ())
 
+let job ~machine ~workload k =
+  let config =
+    { (Finepar.Compiler.default_config ()) with Finepar.Compiler.machine }
+  in
+  Finepar.Job.make ~config ~workload ~cores:4 k
+
 let sweep k =
   let workload = Finepar_kernels.Workload.default k in
   Fmt.pr "%-14s" k.Kernel.name;
@@ -59,7 +65,7 @@ let sweep k =
       let machine =
         Finepar_machine.Config.(with_transfer_latency latency default)
       in
-      let _, _, s = speedup (Finepar.Job.make ~machine ~workload ~cores:4 k) in
+      let _, _, s = speedup (job ~machine ~workload k) in
       Fmt.pr "  lat=%-3d %5.2f" latency s)
     [ 5; 20; 50; 100 ];
   Fmt.pr "@."
@@ -76,7 +82,7 @@ let capacity k =
           transfer_latency = 50;
         }
       in
-      let _, _, s = speedup (Finepar.Job.make ~machine ~workload ~cores:4 k) in
+      let _, _, s = speedup (job ~machine ~workload k) in
       Fmt.pr "  qlen=%-3d %5.2f" queue_len s)
     [ 1; 2; 4; 8; 20 ];
   Fmt.pr "@."

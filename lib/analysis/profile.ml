@@ -13,20 +13,12 @@ type t = {
   miss_latency : int;
 }
 
-let default_hit_latency = 6
-let default_miss_latency = 40
-
 (** A profile that assumes every load hits L1. *)
-let all_hits =
-  {
-    miss_rate = (fun _ -> 0.0);
-    hit_latency = default_hit_latency;
-    miss_latency = default_miss_latency;
-  }
+let all_hits = { miss_rate = (fun _ -> 0.0); hit_latency = 6; miss_latency = 40 }
 
-(** Build a profile from measured per-array (loads, misses) counters. *)
-let of_counters ?(hit_latency = default_hit_latency)
-    ?(miss_latency = default_miss_latency) counters =
+(** Build a profile from measured per-array (loads, misses) counters;
+    an array without counters is priced as all hits. *)
+let of_counters counters =
   let table = Hashtbl.create 16 in
   List.iter
     (fun (name, loads, misses) ->
@@ -34,9 +26,8 @@ let of_counters ?(hit_latency = default_hit_latency)
       Hashtbl.replace table name rate)
     counters;
   {
+    all_hits with
     miss_rate = (fun a -> Option.value ~default:0.0 (Hashtbl.find_opt table a));
-    hit_latency;
-    miss_latency;
   }
 
 (** Expected latency of one load from array [a]. *)

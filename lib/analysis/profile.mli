@@ -13,6 +13,5 @@ type t = {
   miss_latency : int;
 }
 val all_hits : t
-val of_counters :
-  ?hit_latency:int -> ?miss_latency:int -> (string * int * int) list -> t
+val of_counters : (string * int * int) list -> t
 val load_latency : t -> string -> int

@@ -1,59 +1,58 @@
-(** Drivers for every table and figure in the paper's evaluation
-    (Section IV and V).  Each function returns plain data; the benchmark
-    harness ([bench/main.ml]) and the CLI render it. *)
+(** Drivers for every table and figure in the paper's evaluation.  See
+    the .mli for the grid every measured section runs over. *)
 
 open Finepar_ir
 open Finepar_machine
 open Finepar_kernels
 module Pool = Finepar_exec.Pool
 
-(* Every driver below fans out over independent (kernel, config)
-   simulations; [pmap] distributes them over the optional domain pool.
-   Results are merged by task index (see {!Finepar_exec.Pool.map}), so a
-   run with a pool is byte-identical to a sequential one. *)
-let pmap pool f xs = Pool.map_opt pool ~f xs
+let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-type kernel_run = {
-  name : string;
-  app : string;
-  seq_cycles : int;
-  par_cycles : int;
-  speedup : float;
-}
+(* ------------------------------------------------------------------ *)
+(* The grid.                                                            *)
 
-let entry_job ?config ?machine ~cores (e : Registry.entry) =
-  Job.make ?machine ?config ~workload:e.Registry.workload ~cores
+(* [f v e] for every variant [v] x registry entry [e], as one fan-out
+   over [pool]; one row per entry, in registry order, holding its
+   results in variant order.  Tasks are regrouped by index (see
+   {!Finepar_exec.Pool.map}), so a pooled grid is byte-identical to a
+   sequential one. *)
+let grid ?pool variants f =
+  let variants = Array.of_list variants in
+  let n = Array.length variants in
+  let tasks =
+    List.concat_map (fun e -> List.init n (fun v -> (e, v))) Registry.all
+  in
+  let results =
+    Array.of_list (Pool.map_opt pool ~f:(fun (e, v) -> f variants.(v) e) tasks)
+  in
+  List.mapi (fun i e -> (e, Array.sub results (i * n) n)) Registry.all
+
+(* Variant [i]'s results over the registry. *)
+let column i rows = List.map (fun (_, r) -> r.(i)) rows
+
+let name (e : Registry.entry) = e.Registry.kernel.Kernel.name
+
+(* The paper's 4-core configuration on the default machine. *)
+let paper_config = Compiler.default_config ~cores:4 ()
+
+let job config (e : Registry.entry) =
+  Job.make ~config ~workload:e.Registry.workload ~cores:config.Compiler.cores
     e.Registry.kernel
 
+let engine = Engine.default
+let evaluator = Job.direct ~engine ()
+
 (* The paper's protocol on one registry kernel: a sequential profiling
-   run, then the [cores]-way compile fed its counters. *)
-let entry_speedup ?config ?machine ~cores e =
-  Job.speedup
-    (Job.direct ~engine:Engine.default ())
-    (entry_job ?config ?machine ~cores e)
+   run, then the parallel compile fed its counters. *)
+let speedup config e =
+  let _, _, s = Job.speedup evaluator (job config e) in
+  s
 
-(* The same protocol, keeping the parallel compile it measured. *)
-let entry_compiled ?config ?machine ~cores e =
-  let seq, c, par =
-    Job.measured_speedup ~engine:Engine.default
-      (Job.direct ~engine:Engine.default ())
-      (entry_job ?config ?machine ~cores e)
-  in
-  (c, float_of_int seq /. float_of_int par)
-
-let run_entry ?config ?machine ~cores (e : Registry.entry) =
-  let seq_cycles, par_cycles, speedup =
-    entry_speedup ?config ?machine ~cores e
-  in
-  {
-    name = e.Registry.kernel.Kernel.name;
-    app = e.Registry.app;
-    seq_cycles;
-    par_cycles;
-    speedup;
-  }
-
-let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+(* The same protocol, keeping the statistics of the compile it
+   measured. *)
+let measured config e =
+  let seq, c, par = Job.measured_speedup ~engine evaluator (job config e) in
+  (c.Compiler.stats, float_of_int seq /. float_of_int par)
 
 (* ------------------------------------------------------------------ *)
 
@@ -71,7 +70,7 @@ let table1 () =
   List.map
     (fun (e : Registry.entry) ->
       {
-        t1_name = e.Registry.kernel.Kernel.name;
+        t1_name = name e;
         t1_location = e.Registry.location;
         t1_pct = e.Registry.pct_time;
         t1_measured_ops = Stmt.op_count e.Registry.kernel.Kernel.body;
@@ -84,18 +83,10 @@ let table1 () =
 (** Fig. 12: per-kernel speedups on 2 and 4 cores. *)
 type fig12_row = { f12_name : string; f12_app : string; s2 : float; s4 : float }
 
-let fig12 ?pool ?machine () =
-  pmap pool
-    (fun (e : Registry.entry) ->
-      let r2 = run_entry ?machine ~cores:2 e in
-      let r4 = run_entry ?machine ~cores:4 e in
-      {
-        f12_name = r2.name;
-        f12_app = e.Registry.app;
-        s2 = r2.speedup;
-        s4 = r4.speedup;
-      })
-    Registry.all
+let fig12 ?pool () =
+  grid ?pool [ 2; 4 ] (fun cores -> speedup (Compiler.default_config ~cores ()))
+  |> List.map (fun ((e : Registry.entry), s) ->
+      { f12_name = name e; f12_app = e.Registry.app; s2 = s.(0); s4 = s.(1) })
 
 let fig12_averages rows =
   (mean (List.map (fun r -> r.s2) rows), mean (List.map (fun r -> r.s4) rows))
@@ -113,8 +104,7 @@ type table2_row = {
   t2_paper_s4 : float;
 }
 
-let table2 ?pool ?(fig12_rows = []) () =
-  let rows = if fig12_rows = [] then fig12 ?pool () else fig12_rows in
+let table2 rows =
   let app_speedup app pick =
     let entries = Registry.by_app app in
     let covered =
@@ -183,13 +173,12 @@ type table3_row = {
   paper : Registry.paper_row;
 }
 
-let table3 ?pool ?machine () =
-  pmap pool
-    (fun (e : Registry.entry) ->
-      let c, speedup = entry_compiled ?machine ~cores:4 e in
-      let st = c.Compiler.stats in
+let table3 ?pool () =
+  grid ?pool [ paper_config ] measured
+  |> List.map (fun ((e : Registry.entry), r) ->
+      let st, speedup = r.(0) in
       {
-        t3_name = e.Registry.kernel.Kernel.name;
+        t3_name = name e;
         fibers = st.Compiler.initial_fibers;
         deps = st.Compiler.data_deps;
         balance = st.Compiler.load_balance;
@@ -198,7 +187,6 @@ let table3 ?pool ?machine () =
         t3_speedup = speedup;
         paper = e.Registry.paper;
       })
-    Registry.all
 
 (* ------------------------------------------------------------------ *)
 
@@ -211,35 +199,19 @@ type fig13_point = {
   no_speedup : int;  (** kernels at or below 1.0x *)
 }
 
-let fig13 ?pool ?(latencies = [ 5; 20; 50; 100 ]) ?(queue_len = 20) () =
-  (* Flatten the latency × kernel grid into one task list so the pool
-     balances across all of it, then regroup per latency. *)
-  let tasks =
-    List.concat_map
-      (fun latency -> List.map (fun e -> (latency, e)) Registry.all)
-      latencies
+let fig13 ?pool () =
+  let latencies = [ 5; 20; 50; 100 ] in
+  let rows =
+    grid ?pool latencies (fun transfer_latency ->
+        let machine = { Config.default with Config.transfer_latency } in
+        speedup { paper_config with Compiler.machine })
   in
-  let runs =
-    pmap pool
-      (fun (latency, e) ->
-        let machine =
-          { Config.default with Config.transfer_latency = latency; queue_len }
-        in
-        let r = run_entry ~machine ~cores:4 e in
-        (latency, (r.name, r.speedup)))
-      tasks
-  in
-  List.map
-    (fun latency ->
-      let per_kernel =
-        List.filter_map
-          (fun (l, kv) -> if l = latency then Some kv else None)
-          runs
-      in
-      let speeds = List.map snd per_kernel in
+  List.mapi
+    (fun i latency ->
+      let speeds = column i rows in
       {
         latency;
-        per_kernel;
+        per_kernel = List.combine (List.map name Registry.all) speeds;
         f13_avg = mean speeds;
         no_speedup = List.length (List.filter (fun s -> s <= 1.02) speeds);
       })
@@ -259,157 +231,77 @@ type fig14_row = {
   converted_ifs : int;
 }
 
-let fig14 ?pool ?machine () =
-  pmap pool
-    (fun (e : Registry.entry) ->
-      let base = run_entry ?machine ~cores:4 e in
-      let config =
-        { (Compiler.default_config ~cores:4 ()) with Compiler.speculation = true }
-      in
-      let c, speculated = entry_compiled ~config ?machine ~cores:4 e in
+let fig14 ?pool () =
+  grid ?pool
+    [ paper_config; { paper_config with Compiler.speculation = true } ]
+    measured
+  |> List.map (fun (e, r) ->
+      let _, base = r.(0) and st, speculated = r.(1) in
       {
-        f14_name = base.name;
-        base = base.speedup;
+        f14_name = name e;
+        base;
         speculated;
-        chosen = Float.max base.speedup speculated;
-        converted_ifs = c.Compiler.stats.Compiler.speculated_ifs;
+        chosen = Float.max base speculated;
+        converted_ifs = st.Compiler.speculated_ifs;
       })
-    Registry.all
 
 (* ------------------------------------------------------------------ *)
 
-(** Section III-B ablation: the throughput heuristic (merge all cycles so
-    partitions have only unidirectional dependences).  The paper measured
-    3 kernels improving, 6 degrading, ~11% average slowdown. *)
+(** Ablations: 4-core speedups under the paper's configuration
+    ([ab_base]) against the same grid with one compiler or machine
+    option changed ([ab_variant]). *)
 type ablation_row = { ab_name : string; ab_base : float; ab_variant : float }
 
-let throughput_ablation ?pool ?machine () =
-  pmap pool
-    (fun (e : Registry.entry) ->
-      let base = run_entry ?machine ~cores:4 e in
-      let config =
-        { (Compiler.default_config ~cores:4 ()) with Compiler.throughput = true }
-      in
-      let variant = run_entry ~config ?machine ~cores:4 e in
-      { ab_name = base.name; ab_base = base.speedup; ab_variant = variant.speedup })
-    Registry.all
-
-(** Section III-B: the multi-pair merge variant ("allows faster
-    compilation") — quality comparison against single-pair greedy. *)
-let multipair_ablation ?pool ?machine () =
-  pmap pool
-    (fun (e : Registry.entry) ->
-      let base = run_entry ?machine ~cores:4 e in
-      let config =
-        {
-          (Compiler.default_config ~cores:4 ()) with
-          Compiler.algorithm = `Multi_pair;
-        }
-      in
-      let variant = run_entry ~config ?machine ~cores:4 e in
-      { ab_name = base.name; ab_base = base.speedup; ab_variant = variant.speedup })
-    Registry.all
-
-(** Section II ablation: hardware queues vs plain shared-cache coupling.
-    The paper's queues are the special hardware it proposes; the variant
-    lowers every cross-core transfer to a spin-wait valid-flag handshake
-    through the ordinary cache hierarchy, quantifying how much of the
-    speedup the dedicated queues buy. *)
-let comm_mode_ablation ?pool ?machine () =
-  pmap pool
-    (fun (e : Registry.entry) ->
-      let base = run_entry ?machine ~cores:4 e in
-      let config =
-        {
-          (Compiler.default_config ~cores:4 ()) with
-          Compiler.comm_mode = Finepar_transform.Comm.Shared_cache;
-        }
-      in
-      let variant = run_entry ~config ?machine ~cores:4 e in
-      { ab_name = base.name; ab_base = base.speedup; ab_variant = variant.speedup })
-    Registry.all
-
-(** Dual-issue ablation: does fine-grained threading still pay when the
-    baseline core is twice as wide?  Both columns are 4-core speedups
-    over a sequential baseline on the {e same} machine, so the variant
-    pits 4 dual-issue cores against 1 dual-issue core — the paper-era
-    question of thread-level vs instruction-level parallelism. *)
-let issue_width_ablation ?pool ?machine () =
-  let machine = Option.value ~default:Config.default machine in
-  pmap pool
-    (fun (e : Registry.entry) ->
-      let base = run_entry ~machine ~cores:4 e in
-      let wide = { machine with Config.issue_width = 2 } in
-      let variant = run_entry ~machine:wide ~cores:4 e in
-      { ab_name = base.name; ab_base = base.speedup; ab_variant = variant.speedup })
-    Registry.all
+let ablation ?pool variant =
+  grid ?pool [ paper_config; variant paper_config ] speedup
+  |> List.map (fun (e, s) ->
+      { ab_name = name e; ab_base = s.(0); ab_variant = s.(1) })
 
 (* ------------------------------------------------------------------ *)
 
 (** Section III-G: start-up overhead amortization.  The paper argues the
     spawn/barrier overhead is negligible because the loops run many
     iterations; we measure 4-core speedup as the trip count shrinks. *)
-let overhead_study ?pool ?machine
-    ?(trips = [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ]) () =
+let overhead_study ?pool () =
   let e = Option.get (Registry.find "lammps-1") in
-  (* Steady-state cost per iteration, from a long run. *)
-  let run_par trip =
-    let k = { e.Registry.kernel with Kernel.hi = trip } in
-    let config =
-      match machine with
-      | Some m -> { (Compiler.default_config ~cores:4 ()) with Compiler.machine = m }
-      | None -> Compiler.default_config ~cores:4 ()
-    in
-    let c = Compiler.compile config k in
-    (Runner.run ~workload:e.Registry.workload c).Runner.cycles
+  let trips = [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ] in
+  let cycles =
+    Pool.map_opt pool
+      ~f:(fun trip ->
+        let kernel = { e.Registry.kernel with Kernel.hi = trip } in
+        let job =
+          Job.make ~config:paper_config ~workload:e.Registry.workload ~cores:4
+            kernel
+        in
+        (Job.eval ~engine job).Runner.cycles)
+      trips
   in
-  let c_big, c_small =
-    match pmap pool run_par [ 256; 128 ] with
-    | [ a; b ] -> (a, b)
-    | _ -> assert false
-  in
-  let steady = float_of_int (c_big - c_small) /. 128.0 in
-  pmap pool
-    (fun trip ->
-      let cycles = run_par trip in
+  (* Steady-state cost per iteration, from the two longest runs. *)
+  let at trip = List.assoc trip (List.combine trips cycles) in
+  let steady = float_of_int (at 256 - at 128) /. 128.0 in
+  List.map2
+    (fun trip cycles ->
       let per_iter = float_of_int cycles /. float_of_int trip in
       let overhead = float_of_int cycles -. (steady *. float_of_int trip) in
       (trip, per_iter, Float.max 0.0 overhead))
-    trips
+    trips cycles
 
 (** Queue-capacity ablation: how queue length interacts with transfer
     latency (explains why decoupled pipelines tolerate latency). *)
-let queue_capacity_ablation ?pool ?(queue_lens = [ 2; 4; 20 ])
-    ?(latencies = [ 5; 50 ]) () =
-  let configs =
+let queue_capacity_ablation ?pool () =
+  let machines =
     List.concat_map
-      (fun queue_len -> List.map (fun l -> (queue_len, l)) latencies)
-      queue_lens
+      (fun queue_len -> List.map (fun l -> (queue_len, l)) [ 5; 50 ])
+      [ 2; 4; 20 ]
   in
-  let tasks =
-    List.concat_map
-      (fun cfg -> List.map (fun e -> (cfg, e)) Registry.all)
-      configs
-  in
-  let runs =
-    pmap pool
-      (fun ((queue_len, latency), e) ->
+  let rows =
+    grid ?pool machines (fun (queue_len, transfer_latency) ->
         let machine =
-          { Config.default with Config.queue_len; transfer_latency = latency }
+          { Config.default with Config.queue_len; transfer_latency }
         in
-        let r = run_entry ~machine ~cores:4 e in
-        ((queue_len, latency), r.speedup))
-      tasks
+        speedup { paper_config with Compiler.machine })
   in
-  List.map
-    (fun (queue_len, latency) ->
-      let speeds =
-        List.filter_map
-          (fun (cfg, s) -> if cfg = (queue_len, latency) then Some s else None)
-          runs
-      in
-      (queue_len, latency, mean speeds))
-    configs
+  List.mapi (fun i (q, l) -> (q, l, mean (column i rows))) machines
 
 (* ------------------------------------------------------------------ *)
 
@@ -423,8 +315,8 @@ let characterization () =
     a late dequeue relative to the enqueue, the cycle at which the
     dequeue completed — the early dequeue stalls until
     [enqueue time + transfer latency]. *)
-let fig11_demo ?(transfer_latency = 5) () =
-  let open Finepar_machine in
+let fig11_demo () =
+  let transfer_latency = 5 in
   (* Hand-built two-core program: core 0 busy-waits then enqueues; core 1
      dequeues immediately (early) and again after a long delay (late). *)
   let build_core0 () =
@@ -499,83 +391,39 @@ type smt_row = {
   smt_4cores : float;  (** the paper's configuration *)
 }
 
-let smt_study ?pool ?machine () =
-  let machine = Option.value ~default:Config.default machine in
-  pmap pool
-    (fun (e : Registry.entry) ->
-      let k = e.Registry.kernel and workload = e.Registry.workload in
-      let seq = Compiler.compile_sequential ~machine k in
-      let seq_cycles = (Runner.run ~workload seq).Runner.cycles in
-      let par =
-        Compiler.compile
-          { (Compiler.default_config ~cores:4 ()) with Compiler.machine }
-          k
-      in
-      let threads = par.Compiler.stats.Compiler.n_partitions in
-      let speed core_map =
-        let r = Runner.run ~workload ~core_map par in
-        float_of_int seq_cycles /. float_of_int r.Runner.cycles
+let smt_study ?pool () =
+  grid ?pool [ paper_config ] (fun config e ->
+      let job = job config e in
+      let cycles r = float_of_int r.Runner.cycles in
+      let seq = cycles (Job.eval ~engine { job with Job.sequential = true }) in
+      let par = Job.compile job in
+      let speed placement =
+        seq /. cycles (Job.run ~engine { job with Job.placement } par)
       in
       {
-        smt_name = k.Kernel.name;
-        smt_1core = speed (Array.make threads 0);
-        smt_2cores = speed (Array.init threads (fun t -> t mod 2));
-        smt_4cores = speed (Array.init threads Fun.id);
+        smt_name = name e;
+        smt_1core = speed Job.Single_core;
+        smt_2cores = speed Job.Mod2;
+        smt_4cores = speed Job.Identity;
       })
-    Registry.all
+  |> List.map (fun (_, r) -> r.(0))
 
 (** Queue-count constraint (Section II): mean 4-core speedup as the
     number of usable point-to-point queue pairs shrinks. *)
-let queue_limit_study ?pool ?machine ?(limits = [ 12; 6; 4; 2 ]) () =
-  let tasks =
-    List.concat_map
-      (fun limit -> List.map (fun e -> (limit, e)) Registry.all)
-      limits
+let queue_limit_study ?pool () =
+  let limits = [ 12; 6; 4; 2 ] in
+  let rows =
+    grid ?pool limits (fun limit ->
+        speedup { paper_config with Compiler.max_queue_pairs = Some limit })
   in
-  let runs =
-    pmap pool
-      (fun (limit, (e : Registry.entry)) ->
-        let config =
-          {
-            (Compiler.default_config ~cores:4 ()) with
-            Compiler.max_queue_pairs = Some limit;
-          }
-        in
-        let _, _, s = entry_speedup ?machine ~config ~cores:4 e in
-        (limit, s))
-      tasks
-  in
-  List.map
-    (fun limit ->
-      let speeds =
-        List.filter_map (fun (l, s) -> if l = limit then Some s else None) runs
-      in
-      (limit, mean speeds))
-    limits
+  List.mapi (fun i limit -> (limit, mean (column i rows))) limits
 
 (** Scaling beyond 4 cores (Section II's grouping discussion): per-kernel
     speedups at 2, 4 and 8 cores. *)
-let cores_sweep ?pool ?machine ?(cores = [ 2; 4; 8 ]) () =
-  let tasks =
-    List.concat_map
-      (fun (e : Registry.entry) -> List.map (fun c -> (e, c)) cores)
-      Registry.all
-  in
-  let runs =
-    pmap pool
-      (fun ((e : Registry.entry), c) ->
-        let _, _, s = entry_speedup ?machine ~cores:c e in
-        (e.Registry.kernel.Kernel.name, (c, s)))
-      tasks
-  in
-  List.map
-    (fun (e : Registry.entry) ->
-      let name = e.Registry.kernel.Kernel.name in
-      ( name,
-        List.filter_map
-          (fun (n, cs) -> if String.equal n name then Some cs else None)
-          runs ))
-    Registry.all
+let cores_sweep ?pool () =
+  let cores = [ 2; 4; 8 ] in
+  grid ?pool cores (fun cores -> speedup (Compiler.default_config ~cores ()))
+  |> List.map (fun (e, s) -> (name e, List.combine cores (Array.to_list s)))
 
 (** The Section IV SIMD aside: static 4-way SIMD speedup estimates per
     kernel (the paper reports 1.17 for irs-1 and 1.90 for umt2k-4, and
@@ -583,6 +431,5 @@ let cores_sweep ?pool ?machine ?(cores = [ 2; 4; 8 ]) () =
 let simd_estimates () =
   List.map
     (fun (e : Registry.entry) ->
-      ( e.Registry.kernel.Kernel.name,
-        Finepar_characterize.Simd.estimate e.Registry.kernel ))
+      (name e, Finepar_characterize.Simd.estimate e.Registry.kernel))
     Registry.all

@@ -23,11 +23,11 @@ type t = {
   profile_counters : (string * int * int) list;
 }
 
-let make ?(machine = Config.default) ?(config = Compiler.default_config ())
-    ?(workload = []) ~cores kernel =
+let make ?(config = Compiler.default_config ()) ?(workload = []) ~cores kernel
+    =
   {
     kernel;
-    config = { config with Compiler.machine; cores };
+    config = { config with Compiler.cores };
     sequential = false;
     placement = Identity;
     workload = Explicit workload;

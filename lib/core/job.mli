@@ -42,7 +42,6 @@ type t = {
 }
 
 val make :
-  ?machine:Finepar_machine.Config.t ->
   ?config:Compiler.config ->
   ?workload:Finepar_ir.Eval.workload ->
   cores:int ->
@@ -50,8 +49,8 @@ val make :
   t
 (** A parallel job on an explicit workload (default [[]]) with identity
     placement and no profile feedback.  Its configuration is [config]
-    (default {!Compiler.default_config}) with [machine] (default
-    {!Finepar_machine.Config.default}) and [cores] put in. *)
+    (default {!Compiler.default_config}) with [cores] put in; the job
+    runs on [config.machine]. *)
 
 (** {2 The chain} *)
 

@@ -197,13 +197,14 @@ let to_json t =
     ]
 
 (* One row per sample, histograms flattened to count/sum/min/max.  The
-   labels column is [k=v] pairs joined by commas, unquoted. *)
+   labels column is [k=v] pairs joined by semicolons, so every row has
+   the header's 8 fields. *)
 let to_csv t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "name,labels,kind,value,count,sum,min,max\n";
   let row name labels kind cols =
     Printf.bprintf buf "%s,%s,%s,%s\n" name
-      (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels))
+      (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) labels))
       kind cols
   in
   let counter ?(labels = []) name v =

@@ -68,7 +68,9 @@ val to_json : t -> Finepar_telemetry.Json.t
 
 (** One row per counter, gauge or histogram, under the header
     [name,labels,kind,value,count,sum,min,max]; a histogram fills
-    count/sum/min/max, the others [value]. *)
+    count/sum/min/max, the others [value].  [labels] joins its [k=v]
+    pairs with [;] (e.g. [core=0;class=operand]), so every row has
+    exactly 8 fields. *)
 val to_csv : t -> string
 
 val pp : Format.formatter -> t -> unit

@@ -112,10 +112,9 @@ let run_case ?compile ?engine case_seed =
     of wall-clock budget is spent, whichever comes first (with a pool
     the budget is checked between batches, so a batch in flight is
     finished, not abandoned).  Failures are shrunk; when [out_dir] is
-    given, each shrunk reproducer is saved there.  [on_case] is a
-    progress hook, always called in case order on the calling domain. *)
-let run ?compile ?engine ?out_dir ?pool ?(seconds = infinity)
-    ?(on_case = fun _ _ -> ()) ~cases ~seed () =
+    given, each shrunk reproducer is saved there. *)
+let run ?compile ?engine ?out_dir ?pool ?(seconds = infinity) ~cases ~seed ()
+    =
   Finepar_telemetry.Tracer.with_span ~cat:"fuzz"
     ~args:[ ("root_seed", Json.Int seed); ("cases", Json.Int cases) ]
     "campaign"
@@ -154,8 +153,7 @@ let run ?compile ?engine ?out_dir ?pool ?(seconds = infinity)
       failures :=
         { case_seed = r.cr_seed; failure; shrunk; shrunk_failure; repro_path }
         :: !failures
-    | Oracle.Fail _, None -> assert false);
-    on_case r.cr_seed r.cr_outcome
+    | Oracle.Fail _, None -> assert false)
   in
   let workers =
     match pool with None -> 1 | Some p -> Finepar_exec.Pool.domains p

@@ -32,7 +32,6 @@ val run :
   ?out_dir:string ->
   ?pool:Finepar_exec.Pool.t ->
   ?seconds:float ->
-  ?on_case:(int -> Oracle.outcome -> unit) ->
   cases:int ->
   seed:int ->
   unit ->
@@ -42,11 +41,11 @@ val run :
     [out_dir] when given.
 
     With a [pool], cases are checked in parallel batches; per-case seed
-    derivation keeps every case independent, and tallies, failures,
-    corpus writes and [on_case] calls are merged on the calling domain
-    in case-index order, so for a fixed [cases] count the summary (and
-    its JSON) is identical to a sequential run's.  Under a [seconds]
-    budget the number of cases that fit may differ. *)
+    derivation keeps every case independent, and tallies, failures and
+    corpus writes are merged on the calling domain in case-index order,
+    so for a fixed [cases] count the summary (and its JSON) is identical
+    to a sequential run's.  Under a [seconds] budget the number of cases
+    that fit may differ. *)
 
 val summary_to_json : ?pool:Finepar_exec.Pool.stats -> summary -> string
 (** Machine-readable summary.  Excludes the wall-clock [elapsed] field

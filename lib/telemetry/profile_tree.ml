@@ -80,9 +80,10 @@ let of_spans (spans : Tracer.span list) =
 
 let total_seconds roots = List.fold_left (fun acc n -> acc +. n.total) 0. roots
 
-(** Every node's children must not out-total it (allowing [eps] seconds
-    of clock jitter per node), and self must be non-negative. *)
-let well_formed ?(eps = 1e-9) roots =
+(** Every node's children must not out-total it (allowing 1 ns of clock
+    jitter per node), and self must be non-negative. *)
+let well_formed roots =
+  let eps = 1e-9 in
   let rec ok n =
     let child_total = List.fold_left (fun acc c -> acc +. c.total) 0. n.children in
     let child_self = List.fold_left (fun acc c -> acc +. c.self) 0. n.children in
@@ -137,7 +138,7 @@ let to_json roots =
              (hot_list roots)) );
     ]
 
-let pp ?(hot = 10) ppf roots =
+let pp ppf roots =
   Format.fprintf ppf "%10s %10s %7s  %s@." "total(ms)" "self(ms)" "count"
     "span";
   let rec walk depth n =
@@ -149,11 +150,11 @@ let pp ?(hot = 10) ppf roots =
   in
   List.iter (walk 0) roots;
   let rows = hot_list roots in
-  if hot > 0 && rows <> [] then begin
+  if rows <> [] then begin
     Format.fprintf ppf "@.hottest by self time:@.";
     List.iteri
       (fun i (path, count, _, self) ->
-        if i < hot then
+        if i < 10 then
           Format.fprintf ppf "%10.3f %7d  %s@." (self *. 1e3) count path)
       rows
   end

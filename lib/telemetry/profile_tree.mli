@@ -16,8 +16,8 @@ val of_spans : Tracer.span list -> node list
 val total_seconds : node list -> float
 
 (** Structural invariant: children's totals (and self times) never sum
-    past their parent's total, up to [eps] seconds per node. *)
-val well_formed : ?eps:float -> node list -> bool
+    past their parent's total, up to 1 ns of clock jitter per node. *)
+val well_formed : node list -> bool
 
 (** Flattened ("a/b/c", count, total, self) rows, sorted by self time
     descending. *)
@@ -25,6 +25,5 @@ val hot_list : node list -> (string * int * float * float) list
 
 val to_json : node list -> Json.t
 
-(** Tree render plus the [hot] hottest-by-self rows (default 10; 0
-    suppresses the hot list). *)
-val pp : ?hot:int -> Format.formatter -> node list -> unit
+(** Tree render plus the 10 hottest-by-self rows. *)
+val pp : Format.formatter -> node list -> unit

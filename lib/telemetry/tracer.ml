@@ -134,7 +134,8 @@ let counters t =
 
 let host_pid = 3
 
-let to_chrome ?(pid = host_pid) t =
+let to_chrome t =
+  let pid = host_pid in
   let spans = spans t in
   let domains =
     List.sort_uniq compare (List.map (fun s -> s.domain) spans)

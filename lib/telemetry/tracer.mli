@@ -56,4 +56,4 @@ val host_pid : int
     [Thread_name]/[Thread_sort] pair per domain, and a [Complete] event
     per span on its domain's thread row.  A domain's tid is its rank
     among the distinct domain ids in the trace — stable and distinct. *)
-val to_chrome : ?pid:int -> t -> Chrome_trace.event list
+val to_chrome : t -> Chrome_trace.event list

@@ -5,7 +5,9 @@
    Covers: all 18 evaluation kernels at 1/2/4 cores, configuration
    variants (speculation, throughput heuristic, multi-pair merge, latency,
    short queues, tiny caches), edge cases (zero-trip loops, single
-   iteration), and a qcheck property over randomly generated kernels. *)
+   iteration), a golden digest over the Experiments sections the bench
+   gate does not cover, and a qcheck property over randomly generated
+   kernels. *)
 
 open Finepar_ir
 open Builder
@@ -13,10 +15,13 @@ open Finepar_kernels
 
 (* The paper's protocol: a sequential profiling run, then the parallel
    compile fed its counters (Runner.run checks both runs). *)
-let speedup ?machine ?config ~workload ~cores k =
+let speedup ?(machine = Finepar_machine.Config.default)
+    ?(config = Finepar.Compiler.default_config ()) ~workload ~cores k =
   Finepar.Job.speedup
     (Finepar.Job.direct ~engine:Finepar_machine.Engine.default ())
-    (Finepar.Job.make ?machine ?config ~workload ~cores k)
+    (Finepar.Job.make
+       ~config:{ config with Finepar.Compiler.machine }
+       ~workload ~cores k)
 
 let speedup_of ?config ?machine k ~cores =
   let workload = Workload.default k in
@@ -226,6 +231,56 @@ let test_table3_reports_measured_compile () =
       Alcotest.(check (float 0.)) (name ^ " speedup") s r.E.t3_speedup)
     (E.table3 ()) Registry.all
 
+(* Golden digest of the Experiments sections that bench/baseline.json
+   does not gate: the throughput and multi-pair ablations, the overhead
+   study, the queue-capacity ablation and the three extensions.  Floats
+   print with [%h] (exact hex), so any moved number changes the digest.
+   Update the digest only for an intended change of the simulated
+   counts. *)
+let golden_ungated_digest = "0f9a550f930c4a12a500ff65ddce1b10"
+
+let ungated_rows () =
+  let module E = Finepar.Experiments in
+  let pool = Finepar_exec.Pool.create ~domains:2 () in
+  let b = Buffer.create 4096 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let ablation name rows =
+    List.iter
+      (fun (r : E.ablation_row) ->
+        line "%s %s %h %h" name r.E.ab_name r.E.ab_base r.E.ab_variant)
+      rows
+  in
+  ablation "throughput"
+    (E.ablation ~pool (fun c -> { c with Finepar.Compiler.throughput = true }));
+  ablation "multipair"
+    (E.ablation ~pool (fun c ->
+         { c with Finepar.Compiler.algorithm = `Multi_pair }));
+  List.iter
+    (fun (trip, per_iter, overhead) ->
+      line "overhead %d %h %h" trip per_iter overhead)
+    (E.overhead_study ~pool ());
+  List.iter
+    (fun (q, l, s) -> line "queue %d %d %h" q l s)
+    (E.queue_capacity_ablation ~pool ());
+  List.iter
+    (fun (r : E.smt_row) ->
+      line "smt %s %h %h %h" r.E.smt_name r.E.smt_1core r.E.smt_2cores
+        r.E.smt_4cores)
+    (E.smt_study ~pool ());
+  List.iter
+    (fun (limit, s) -> line "queue_limit %d %h" limit s)
+    (E.queue_limit_study ~pool ());
+  List.iter
+    (fun (name, per_core) ->
+      List.iter (fun (c, s) -> line "cores %s %d %h" name c s) per_core)
+    (E.cores_sweep ~pool ());
+  Buffer.contents b
+
+let test_ungated_golden () =
+  Alcotest.(check string)
+    "ungated sections digest" golden_ungated_digest
+    (Digest.to_hex (Digest.string (ungated_rows ())))
+
 let test_umt2k6_slows_down () =
   let e = Option.get (Registry.find "umt2k-6") in
   let _, _, s =
@@ -322,6 +377,8 @@ let () =
             test_average_speedups;
           Alcotest.test_case "table3 reports the measured compile" `Quick
             test_table3_reports_measured_compile;
+          Alcotest.test_case "ungated sections golden" `Quick
+            test_ungated_golden;
           Alcotest.test_case "umt2k-6 slows down" `Quick
             test_umt2k6_slows_down;
           Alcotest.test_case "latency degrades speedup" `Slow

@@ -5,6 +5,7 @@
      cycles, then fewer cores, then the simpler config) and is stable;
    - the direct and store evaluators give identical measures (errors
      included), so Job.speedup and Job.autotune agree over both;
+   - Job.make keeps the machine of the config it is given;
    - the search is byte-identical at -j1 and -j4, and cached vs. fresh
      through a store (with a 100% warm hit rate);
    - the search never returns a config worse than the Section III-B
@@ -153,6 +154,27 @@ let test_evaluators_agree () =
             (name ^ ": autotune") (Job.autotune direct job)
             (Job.autotune via job))
         [ "lammps-1"; "umt2k-6" ])
+
+(* A job's machine has one home, [config.machine]: [Job.make ~config]
+   keeps it, and the run simulates on it. *)
+let test_make_keeps_config_machine () =
+  let e = Option.get (Registry.find "lammps-1") in
+  let machine =
+    {
+      Finepar_machine.Config.default with
+      Finepar_machine.Config.transfer_latency = 50;
+      issue_width = 2;
+    }
+  in
+  let make config =
+    Job.make ~config ~workload:e.Registry.workload ~cores:4 e.Registry.kernel
+  in
+  let job = make { (Compiler.default_config ()) with Compiler.machine } in
+  Alcotest.(check bool) "config machine kept" true
+    (job.Job.config.Compiler.machine = machine);
+  let cycles job = (Job.eval ~engine job).Finepar.Runner.cycles in
+  Alcotest.(check bool) "runs on that machine" true
+    (cycles job <> cycles (make (Compiler.default_config ())))
 
 (* ------------------------------------------------------------------ *)
 (* The search.                                                          *)
@@ -303,6 +325,8 @@ let () =
             test_tie_break_order;
           Alcotest.test_case "direct and store evaluators agree" `Quick
             test_evaluators_agree;
+          Alcotest.test_case "make keeps the config's machine" `Quick
+            test_make_keeps_config_machine;
         ] );
       ( "search",
         [
