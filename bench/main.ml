@@ -16,7 +16,7 @@
    that ran as machine-readable JSON; the CI bench gate compares it
    exactly against bench/baseline.json.
 
-   -j N (or --jobs=N, or the FINEPAR_DOMAINS environment variable) sets
+   -j N (or --jobs=N; default: the machine's core count minus one) sets
    the domain-pool width used for the per-kernel fan-outs inside each
    section; results are merged by task index, so the output is
    byte-identical at every -j.  -j 1 is fully sequential.
@@ -537,19 +537,6 @@ let parse_args args =
     profile = !profile;
   }
 
-let pool_json (p : Pool.stats) =
-  J.Obj
-    [
-      ("domains", J.Int p.Pool.domains);
-      ("runs", J.Int p.Pool.runs);
-      ("tasks", J.Int p.Pool.tasks);
-      ("steals", J.Int p.Pool.steals);
-      ("steal_failures", J.Int p.Pool.steal_failures);
-      ("busy_seconds", J.Float p.Pool.busy_seconds);
-      ("idle_seconds", J.Float p.Pool.idle_seconds);
-      ("imbalance", J.Float p.Pool.imbalance);
-    ]
-
 let () =
   let module Tracer = Finepar_telemetry.Tracer in
   let opts = parse_args (List.tl (Array.to_list Sys.argv)) in
@@ -579,12 +566,7 @@ let () =
   (* Scheduling-dependent, so stderr (the CI diffs stdout and the
      --json file across -j): the load-imbalance line the bench workflow
      scrapes into its job summary. *)
-  Fmt.epr
-    "pool: %d domains, %d tasks, %d steals (%d failed), busy %.3fs, idle \
-     %.3fs, imbalance %.2f@."
-    stats.Pool.domains stats.Pool.tasks stats.Pool.steals
-    stats.Pool.steal_failures stats.Pool.busy_seconds stats.Pool.idle_seconds
-    stats.Pool.imbalance;
+  Fmt.epr "%a@." Pool.pp_stats stats;
   let sections = J.Obj [ ("sections", J.Obj (List.rev ctx.collected)) ] in
   (match opts.json_out with
   | None -> ()
@@ -595,7 +577,7 @@ let () =
     let doc =
       if tracing then
         match sections with
-        | J.Obj kvs -> J.Obj (kvs @ [ ("pool", pool_json stats) ])
+        | J.Obj kvs -> J.Obj (kvs @ [ ("pool", Pool.stats_json stats) ])
         | other -> other
       else sections
     in

@@ -31,6 +31,16 @@ let cores_arg =
   let doc = "Number of hardware cores (1, 2 or 4 in the paper)." in
   Arg.(value & opt int 4 & info [ "c"; "cores" ] ~doc)
 
+let jobs_arg =
+  let doc =
+    "Run on this many domains in parallel (default: the machine's core \
+     count minus one; 1 is fully sequential).  Output is byte-identical \
+     at every -j (for fuzz, at a fixed --cases count).  For request, it \
+     affects only the in-process store: path; a socket server has its \
+     own -j."
+  in
+  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc)
+
 let latency_arg =
   let doc = "Queue transfer latency in cycles." in
   Arg.(value & opt int 5 & info [ "latency" ] ~doc)
@@ -633,15 +643,6 @@ let autotune_cmd =
     let doc = "Search output format: text or json." in
     Arg.(value & opt string "text" & info [ "format" ] ~doc)
   in
-  let jobs_arg =
-    let doc =
-      "Evaluate candidates on this many domains in parallel (default: \
-       the FINEPAR_DOMAINS environment variable, else the machine's \
-       core count minus one; 1 is fully sequential).  Results are \
-       byte-identical at every -j."
-    in
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc)
-  in
   let search ~name ~scope ~fuzz_corpus ~params ~engine ~via ~jobs ~format
       ~output =
     let targets =
@@ -779,15 +780,6 @@ let fuzz_cmd =
     in
     Arg.(value & opt (some string) None & info [ "replay" ] ~doc)
   in
-  let jobs_arg =
-    let doc =
-      "Check cases on this many domains in parallel (default: the \
-       FINEPAR_DOMAINS environment variable, else the machine's core \
-       count minus one; 1 is fully sequential).  The summary is \
-       byte-identical at every -j for a fixed --cases count."
-    in
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc)
-  in
   let replay_via ~engine via dir =
     (* Cache-backed replay: each reproducer becomes one run request.
        The engine is not part of the store key, so a repeated replay —
@@ -905,16 +897,7 @@ let fuzz_cmd =
           Some (Finepar_exec.Pool.stats pool)
         else None
       in
-      Option.iter
-        (fun (p : Finepar_exec.Pool.stats) ->
-          Fmt.pr
-            "pool: %d domains, %d tasks, %d steals (%d failed), busy \
-             %.3fs, idle %.3fs, imbalance %.2f@."
-            p.Finepar_exec.Pool.domains p.Finepar_exec.Pool.tasks
-            p.Finepar_exec.Pool.steals p.Finepar_exec.Pool.steal_failures
-            p.Finepar_exec.Pool.busy_seconds p.Finepar_exec.Pool.idle_seconds
-            p.Finepar_exec.Pool.imbalance)
-        pool_stats;
+      Option.iter (Fmt.pr "%a@." Finepar_exec.Pool.pp_stats) pool_stats;
       Fmt.pr
         "coverage: %d with ifs, %d indirect, %d int-ops; %d speculated, %d \
          multi-core, %d smt@."
@@ -1222,14 +1205,6 @@ let serve_cmd =
     Arg.(
       required & opt (some string) None & info [ "store" ] ~doc ~docv:"DIR")
   in
-  let jobs_arg =
-    let doc = "Fan cache misses out over this many domains (default: the \
-               FINEPAR_DOMAINS environment variable, else the machine's \
-               core count minus one).  Responses are byte-identical at \
-               every -j."
-    in
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc)
-  in
   let max_entries_arg =
     let doc = "Evict the oldest store entries (by mtime) past this count." in
     Arg.(value & opt (some int) None & info [ "max-entries" ] ~doc)
@@ -1279,12 +1254,6 @@ let request_cmd =
                directory."
     in
     Arg.(value & opt (some string) None & info [ "corpus" ] ~doc ~docv:"DIR")
-  in
-  let jobs_arg =
-    let doc = "Domains for the in-process store: path (socket servers \
-               control their own -j)."
-    in
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc)
   in
   let stats_arg =
     let doc = "Print cache hit/miss counters to stderr after executing." in

@@ -5,47 +5,30 @@ type stats = {
   runs : int;
   run_seconds : float;
   tasks : int;
-  steals : int;
-  steal_failures : int;
   busy_seconds : float;
   idle_seconds : float;
-  worker_tasks : int array;
-  worker_busy : float array;
   imbalance : float;
 }
 
 type t = {
   n_domains : int;
   busy : bool Atomic.t;
-      (* set while a parallel [map] is running; nested calls on the same
-         pool would spawn domains from inside domains, so they are
+      (* set while a [map] is running on a multi-domain pool; nested
+         calls would spawn domains from inside domains, so they are
          rejected instead (see the .mli) *)
   stats_lock : Mutex.t;
   mutable runs : int;
   mutable run_seconds : float;
-  acc_tasks : int array;  (** all acc_ arrays are length [n_domains] *)
-  acc_steals : int array;
-  acc_steal_failures : int array;
+  mutable idle : float;
+  acc_tasks : int array;  (** per worker slot, length [n_domains] *)
   acc_busy : float array;
-  acc_idle : float array;
 }
-
-let env_domains () =
-  match Sys.getenv_opt "FINEPAR_DOMAINS" with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Some n
-    | Some _ | None -> None)
-
-let default_domains () =
-  match env_domains () with
-  | Some n -> n
-  | None -> max 1 (Domain.recommended_domain_count () - 1)
 
 let create ?domains () =
   let n_domains =
-    match domains with Some d -> max 1 d | None -> default_domains ()
+    match domains with
+    | Some d -> max 1 d
+    | None -> max 1 (Domain.recommended_domain_count () - 1)
   in
   {
     n_domains;
@@ -53,11 +36,9 @@ let create ?domains () =
     stats_lock = Mutex.create ();
     runs = 0;
     run_seconds = 0.;
+    idle = 0.;
     acc_tasks = Array.make n_domains 0;
-    acc_steals = Array.make n_domains 0;
-    acc_steal_failures = Array.make n_domains 0;
     acc_busy = Array.make n_domains 0.;
-    acc_idle = Array.make n_domains 0.;
   }
 
 let domains t = t.n_domains
@@ -66,154 +47,81 @@ let domains t = t.n_domains
    task: 1.0 is a perfectly even split, [workers] is one worker doing
    everything.  An idle pool reports 1.0. *)
 let imbalance_of ~tasks ~busy =
-  let n = Array.length busy in
   let sum = ref 0. and mx = ref 0. and active = ref 0 in
-  for w = 0 to n - 1 do
-    if tasks.(w) > 0 then begin
-      incr active;
-      sum := !sum +. busy.(w);
-      if busy.(w) > !mx then mx := busy.(w)
-    end
-  done;
+  Array.iteri
+    (fun w b ->
+      if tasks.(w) > 0 then begin
+        incr active;
+        sum := !sum +. b;
+        mx := Float.max !mx b
+      end)
+    busy;
   if !active = 0 || !sum <= 0. then 1.
   else !mx /. (!sum /. float_of_int !active)
 
 let stats t =
   Mutex.protect t.stats_lock (fun () ->
-      let sumi a = Array.fold_left ( + ) 0 a
-      and sumf a = Array.fold_left ( +. ) 0. a in
       {
         domains = t.n_domains;
         runs = t.runs;
         run_seconds = t.run_seconds;
-        tasks = sumi t.acc_tasks;
-        steals = sumi t.acc_steals;
-        steal_failures = sumi t.acc_steal_failures;
-        busy_seconds = sumf t.acc_busy;
-        idle_seconds = sumf t.acc_idle;
-        worker_tasks = Array.copy t.acc_tasks;
-        worker_busy = Array.copy t.acc_busy;
+        tasks = Array.fold_left ( + ) 0 t.acc_tasks;
+        busy_seconds = Array.fold_left ( +. ) 0. t.acc_busy;
+        idle_seconds = t.idle;
         imbalance = imbalance_of ~tasks:t.acc_tasks ~busy:t.acc_busy;
       })
 
-let reset_stats t =
-  Mutex.protect t.stats_lock (fun () ->
-      t.runs <- 0;
-      t.run_seconds <- 0.;
-      Array.fill t.acc_tasks 0 t.n_domains 0;
-      Array.fill t.acc_steals 0 t.n_domains 0;
-      Array.fill t.acc_steal_failures 0 t.n_domains 0;
-      Array.fill t.acc_busy 0 t.n_domains 0.;
-      Array.fill t.acc_idle 0 t.n_domains 0.)
+let pp_stats ppf s =
+  Fmt.pf ppf "pool: %d domains, %d tasks, busy %.3fs, idle %.3fs, imbalance %.2f"
+    s.domains s.tasks s.busy_seconds s.idle_seconds s.imbalance
 
-(* ------------------------------------------------------------------ *)
-(* The work-stealing scheduler.  Task indices are dealt out in
-   contiguous blocks, one per worker; a worker consumes its own block
-   from the low end and, once empty, steals from the high end of the
-   fullest other block.  Each deque is a [lo, hi) window over the task
-   index range, guarded by its own mutex — tasks here are coarse
-   (a kernel compile + simulation, a fuzz case), so contention on these
-   tiny critical sections is irrelevant. *)
+let stats_json s =
+  let module J = Finepar_telemetry.Json in
+  J.Obj
+    [
+      ("domains", J.Int s.domains);
+      ("runs", J.Int s.runs);
+      ("run_seconds", J.Float s.run_seconds);
+      ("tasks", J.Int s.tasks);
+      ("busy_seconds", J.Float s.busy_seconds);
+      ("idle_seconds", J.Float s.idle_seconds);
+      ("imbalance", J.Float s.imbalance);
+    ]
 
-type deque = { lock : Mutex.t; mutable lo : int; mutable hi : int }
-
-let pop_own d =
-  Mutex.protect d.lock (fun () ->
-      if d.lo < d.hi then (
-        let i = d.lo in
-        d.lo <- i + 1;
-        Some i)
-      else None)
-
-let steal d =
-  Mutex.protect d.lock (fun () ->
-      if d.lo < d.hi then (
-        let i = d.hi - 1 in
-        d.hi <- i;
-        Some i)
-      else None)
-
-(* Per-run observability: each worker owns one slot of each array, so
-   recording is unsynchronized; the coordinating domain reads the
-   arrays only after every helper is joined. *)
-type run_stats = {
-  r_tasks : int array;
-  r_steals : int array;
-  r_steal_failures : int array;
-  r_busy : float array;
-  r_idle : float array;
-  mutable r_wall : float;
-}
-
-let parallel_run ~workers ~n task =
-  let chunk = (n + workers - 1) / workers in
-  let deques =
-    Array.init workers (fun w ->
-        {
-          lock = Mutex.create ();
-          lo = min n (w * chunk);
-          hi = min n ((w + 1) * chunk);
-        })
-  in
-  let rs =
-    {
-      r_tasks = Array.make workers 0;
-      r_steals = Array.make workers 0;
-      r_steal_failures = Array.make workers 0;
-      r_busy = Array.make workers 0.;
-      r_idle = Array.make workers 0.;
-      r_wall = 0.;
-    }
-  in
-  (* Own deque first, then the others in round-robin order.  No task
-     spawns further tasks, so a full scan finding every deque empty
-     means the run is over. *)
-  let rec next w tries =
-    if tries >= workers then None
-    else
-      let v = w + tries in
-      let victim = if v >= workers then v - workers else v in
-      match
-        if tries = 0 then pop_own deques.(victim) else steal deques.(victim)
-      with
-      | Some i ->
-        if tries > 0 then rs.r_steals.(w) <- rs.r_steals.(w) + 1;
-        Some i
-      | None ->
-        if tries > 0 then
-          rs.r_steal_failures.(w) <- rs.r_steal_failures.(w) + 1;
-        next w (tries + 1)
-  in
-  let rec worker_loop w =
-    match next w 0 with
-    | Some i ->
-      let t0 = Unix.gettimeofday () in
-      task i;
-      rs.r_busy.(w) <- rs.r_busy.(w) +. (Unix.gettimeofday () -. t0);
-      rs.r_tasks.(w) <- rs.r_tasks.(w) + 1;
-      worker_loop w
-    | None -> ()
-  in
+(* Self-scheduling: every worker claims the next unclaimed task index
+   from one shared counter until the range runs out.  No task spawns
+   further tasks, so a worker that finds the range empty is done.  Each
+   worker owns one slot of [tasks]/[busy]/[idle], so recording is
+   unsynchronized; the calling domain reads them after every helper is
+   joined.  Worker 0 is the calling domain, so one worker is a plain
+   sequential loop. *)
+let run ~workers ~n task =
+  let next = Atomic.make 0 in
+  let tasks = Array.make workers 0
+  and busy = Array.make workers 0.
+  and idle = Array.make workers 0. in
   let worker w =
     let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () ->
-        rs.r_idle.(w) <-
-          Float.max 0. (Unix.gettimeofday () -. t0 -. rs.r_busy.(w)))
-      (fun () -> worker_loop w)
+    let rec loop () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        let t = Unix.gettimeofday () in
+        task i;
+        busy.(w) <- busy.(w) +. (Unix.gettimeofday () -. t);
+        tasks.(w) <- tasks.(w) + 1;
+        loop ()
+      end
+    in
+    loop ();
+    idle.(w) <- Float.max 0. (Unix.gettimeofday () -. t0 -. busy.(w))
   in
-  let t_run = Unix.gettimeofday () in
   let helpers =
-    Array.init (workers - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
+    List.init (workers - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
   in
-  let main_exn =
-    (* [task] never raises (exceptions are captured into the result
-       slot), but guard anyway so helper domains are always joined. *)
-    match worker 0 with () -> None | exception e -> Some e
-  in
-  Array.iter Domain.join helpers;
-  rs.r_wall <- Unix.gettimeofday () -. t_run;
-  match main_exn with None -> rs | Some e -> raise e
+  Fun.protect
+    ~finally:(fun () -> List.iter Domain.join helpers)
+    (fun () -> worker 0);
+  (tasks, busy, idle)
 
 let map pool ~f xs =
   let arr = Array.of_list xs in
@@ -226,73 +134,39 @@ let map pool ~f xs =
         | v -> Ok v
         | exception e -> Error (e, Printexc.get_raw_backtrace ()))
   in
-  let workers = min pool.n_domains n in
-  let record rs =
-    Mutex.protect pool.stats_lock (fun () ->
-        pool.runs <- pool.runs + 1;
-        pool.run_seconds <- pool.run_seconds +. rs.r_wall;
-        Array.iteri
-          (fun w c -> pool.acc_tasks.(w) <- pool.acc_tasks.(w) + c)
-          rs.r_tasks;
-        Array.iteri
-          (fun w c -> pool.acc_steals.(w) <- pool.acc_steals.(w) + c)
-          rs.r_steals;
-        Array.iteri
-          (fun w c ->
-            pool.acc_steal_failures.(w) <- pool.acc_steal_failures.(w) + c)
-          rs.r_steal_failures;
-        Array.iteri
-          (fun w s -> pool.acc_busy.(w) <- pool.acc_busy.(w) +. s)
-          rs.r_busy;
-        Array.iteri
-          (fun w s -> pool.acc_idle.(w) <- pool.acc_idle.(w) +. s)
-          rs.r_idle)
-  in
-  (if workers <= 1 then begin
-     (* Sequential degradation (one domain, or 0/1 tasks).  A busy
-        multi-domain pool still rejects, so nesting behaviour does not
-        depend on the length of the inner list. *)
-     if pool.n_domains > 1 && Atomic.get pool.busy then raise Nested_map;
-     let t0 = Unix.gettimeofday () in
-     for i = 0 to n - 1 do
-       task i
-     done;
-     if n > 0 then begin
-       let wall = Unix.gettimeofday () -. t0 in
-       record
-         {
-           r_tasks = [| n |];
-           r_steals = [| 0 |];
-           r_steal_failures = [| 0 |];
-           r_busy = [| wall |];
-           r_idle = [| 0. |];
-           r_wall = wall;
-         }
-     end
-   end
-   else begin
-     if not (Atomic.compare_and_set pool.busy false true) then
-       raise Nested_map;
-     Fun.protect
-       ~finally:(fun () -> Atomic.set pool.busy false)
-       (fun () -> record (parallel_run ~workers ~n task))
-   end);
+  let workers = max 1 (min pool.n_domains n) in
+  (* A busy multi-domain pool also rejects a call that would run
+     sequentially (one task), so nesting behaviour does not depend on
+     the length of the inner list. *)
+  if workers > 1 then begin
+    if not (Atomic.compare_and_set pool.busy false true) then raise Nested_map
+  end
+  else if pool.n_domains > 1 && Atomic.get pool.busy then raise Nested_map;
+  Fun.protect
+    ~finally:(fun () -> if workers > 1 then Atomic.set pool.busy false)
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      let tasks, busy, idle = run ~workers ~n task in
+      let wall = Unix.gettimeofday () -. t0 in
+      if n > 0 then
+        Mutex.protect pool.stats_lock (fun () ->
+            pool.runs <- pool.runs + 1;
+            pool.run_seconds <- pool.run_seconds +. wall;
+            pool.idle <- Array.fold_left ( +. ) pool.idle idle;
+            Array.iteri
+              (fun w c -> pool.acc_tasks.(w) <- pool.acc_tasks.(w) + c)
+              tasks;
+            Array.iteri
+              (fun w s -> pool.acc_busy.(w) <- pool.acc_busy.(w) +. s)
+              busy));
   (* Merge by task index: re-raise the lowest-indexed failure (so the
      observed exception is independent of scheduling), else return the
      values in input order. *)
   Array.iter
-    (function
-      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-      | Some (Ok _) -> ()
-      | None -> assert false)
+    (function Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt | _ -> ())
     results;
-  Array.to_list
-    (Array.map
-       (function Some (Ok v) -> v | Some (Error _) | None -> assert false)
-       results)
-
-let map_reduce pool ~map:m ~fold ~init xs =
-  List.fold_left fold init (map pool ~f:m xs)
+  List.init n (fun i ->
+      match results.(i) with Some (Ok v) -> v | Some (Error _) | None -> assert false)
 
 let map_opt pool ~f xs =
   match pool with None -> List.map f xs | Some p -> map p ~f xs

@@ -1,13 +1,12 @@
-(** A work-stealing domain pool for the embarrassingly parallel fan-outs
-    of the harness: per-kernel experiment rows, bench sections and fuzz
-    campaign cases.
+(** A self-scheduling domain pool for the embarrassingly parallel
+    fan-outs of the harness: per-kernel experiment rows, fuzz campaign
+    cases, search batches and the service's cache-miss groups.
 
     Results are merged by task index, never by completion order, so a
     parallel {!map} returns exactly what [List.map] returns — callers can
     (and the CI does) diff sequential and parallel outputs byte for byte.
 
-    The parallelism degree comes from, in priority order: the [?domains]
-    argument, the [FINEPAR_DOMAINS] environment variable, and
+    The parallelism degree is the [?domains] argument, else
     [Domain.recommended_domain_count () - 1] (leaving one core for the
     coordinating domain).  At one domain every operation degrades to plain
     sequential execution with identical semantics. *)
@@ -25,45 +24,46 @@ type stats = {
   runs : int;  (** {!map} calls that executed at least one task *)
   run_seconds : float;  (** wall-clock time spent inside those calls *)
   tasks : int;  (** tasks executed, across all runs *)
-  steals : int;  (** tasks taken from another worker's deque *)
-  steal_failures : int;  (** steal attempts that found an empty deque *)
   busy_seconds : float;  (** summed over workers: time inside tasks *)
   idle_seconds : float;  (** summed over workers: in-run time not in tasks *)
-  worker_tasks : int array;  (** per-slot task counts (length [domains]) *)
-  worker_busy : float array;  (** per-slot busy seconds (length [domains]) *)
   imbalance : float;
-      (** max busy / mean busy over workers that ran at least one task:
-          1.0 is a perfectly even split, [domains] is one worker doing
-          everything; 1.0 when the pool has not run. *)
+      (** max busy / mean busy over worker slots that ran at least one
+          task: 1.0 is a perfectly even split, [domains] is one worker
+          doing everything; 1.0 when the pool has not run. *)
 }
 (** Cumulative execution statistics, accumulated across {!map} calls
-    since pool creation (or the last {!reset_stats}).  Sequential
-    degradation (one domain, or 0/1 tasks) is counted too — the run is
-    attributed to worker slot 0 with zero steals and zero idle — so
-    [tasks] always equals the total number of elements mapped. *)
+    since pool creation.  Sequential degradation (one domain, or 0/1
+    tasks) is counted too, on worker slot 0, so [tasks] always equals
+    the total number of elements mapped. *)
 
 val stats : t -> stats
 (** A consistent snapshot; thread-safe.  Timing uses wall-clock
     ([Unix.gettimeofday]), matching the rest of the telemetry layer. *)
 
-val reset_stats : t -> unit
+val pp_stats : stats Fmt.t
+(** The one-line rendering
+    [pool: D domains, T tasks, busy Bs, idle Is, imbalance X], without a
+    trailing newline.  Scheduling-dependent, so callers print it only
+    where byte-identical output across [-j] is not expected. *)
 
-val default_domains : unit -> int
-(** [FINEPAR_DOMAINS] if set to a positive integer, else
-    [max 1 (Domain.recommended_domain_count () - 1)]. *)
+val stats_json : stats -> Finepar_telemetry.Json.t
+(** An object with exactly the keys [domains], [runs], [run_seconds],
+    [tasks], [busy_seconds], [idle_seconds] and [imbalance]. *)
 
 val create : ?domains:int -> unit -> t
 (** A pool that runs [domains] tasks concurrently (clamped to at least
-    1; default {!default_domains}).  Worker domains are spawned per
-    top-level {!map} call and joined before it returns, so a pool value
-    holds no OS resources and never needs a shutdown. *)
+    1; default [max 1 (Domain.recommended_domain_count () - 1)]).
+    Worker domains are spawned per top-level {!map} call and joined
+    before it returns, so a pool value holds no OS resources and never
+    needs a shutdown. *)
 
 val domains : t -> int
 
 val map : t -> f:('a -> 'b) -> 'a list -> 'b list
-(** [map pool ~f xs] applies [f] to every element of [xs], distributing
-    elements over the pool's domains with per-domain work queues and
-    work stealing.  Semantics match [List.map f xs]:
+(** [map pool ~f xs] applies [f] to every element of [xs] on the pool's
+    domains: each worker repeatedly claims the next unclaimed element
+    from one shared atomic counter, so a slow element never holds up
+    the rest.  Semantics match [List.map f xs]:
 
     - the result list is in input order (merged by task index);
     - every task runs even when another task raises;
@@ -74,13 +74,6 @@ val map : t -> f:('a -> 'b) -> 'a list -> 'b list
     [f] must be safe to run from multiple domains: no unsynchronized
     shared mutable state.  Calling [map] on a pool from inside one of
     its own tasks raises {!Nested_map} (see above). *)
-
-val map_reduce :
-  t -> map:('a -> 'b) -> fold:('acc -> 'b -> 'acc) -> init:'acc -> 'a list -> 'acc
-(** [map_reduce pool ~map ~fold ~init xs] is
-    [List.fold_left fold init (List.map map xs)] with the map phase
-    parallel.  The fold runs on the calling domain in input order, so it
-    needs no associativity and the result is deterministic. *)
 
 val map_opt : t option -> f:('a -> 'b) -> 'a list -> 'b list
 (** [map_opt (Some pool) ~f xs = map pool ~f xs];

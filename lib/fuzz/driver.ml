@@ -198,27 +198,13 @@ let json_of_failure (f : failure_report) =
         | Some p -> Json.String p );
     ]
 
-let json_of_pool_stats (p : Finepar_exec.Pool.stats) =
-  Json.Obj
-    [
-      ("domains", Json.Int p.Finepar_exec.Pool.domains);
-      ("runs", Json.Int p.Finepar_exec.Pool.runs);
-      ("run_seconds", Json.Float p.Finepar_exec.Pool.run_seconds);
-      ("tasks", Json.Int p.Finepar_exec.Pool.tasks);
-      ("steals", Json.Int p.Finepar_exec.Pool.steals);
-      ("steal_failures", Json.Int p.Finepar_exec.Pool.steal_failures);
-      ("busy_seconds", Json.Float p.Finepar_exec.Pool.busy_seconds);
-      ("idle_seconds", Json.Float p.Finepar_exec.Pool.idle_seconds);
-      ("imbalance", Json.Float p.Finepar_exec.Pool.imbalance);
-    ]
-
 (* Deliberately excludes [elapsed]: the summary JSON is a pure function
    of the root seed and case count, so sequential and parallel campaigns
    (and CI reruns) can be diffed byte for byte.  Wall-clock numbers
    belong in the harness's text output.  The optional [pool] object
-   (steal counts, busy/idle seconds, load imbalance) is scheduling-
-   dependent, so callers attach it only when the user asked for
-   profiling — the CI determinism diffs never pass it. *)
+   (busy/idle seconds, load imbalance) is scheduling-dependent, so
+   callers attach it only when the user asked for profiling — the CI
+   determinism diffs never pass it. *)
 let json_of_summary ?pool (s : summary) =
   Json.Obj
     ([
@@ -243,6 +229,6 @@ let json_of_summary ?pool (s : summary) =
     @
     match pool with
     | None -> []
-    | Some p -> [ ("pool", json_of_pool_stats p) ])
+    | Some p -> [ ("pool", Finepar_exec.Pool.stats_json p) ])
 
 let summary_to_json ?pool s = Json.to_string (json_of_summary ?pool s)

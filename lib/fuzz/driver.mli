@@ -51,5 +51,5 @@ val summary_to_json : ?pool:Finepar_exec.Pool.stats -> summary -> string
 (** Machine-readable summary.  Excludes the wall-clock [elapsed] field
     so the JSON is a pure function of [seed] and the case count.  When
     [pool] is given (profiling was requested), a scheduling-dependent
-    ["pool"] object — steal counts, busy/idle seconds, load imbalance —
-    is appended; the CI determinism diffs never pass it. *)
+    ["pool"] object ({!Finepar_exec.Pool.stats_json}) is appended; the
+    CI determinism diffs never pass it. *)

@@ -77,6 +77,12 @@ let is_plain_char = function
   | '(' | ')' | '"' | ' ' | '\t' | '\n' | '\r' -> false
   | _ -> true
 
+(* Far deeper than any generated kernel (19 levels at most on its own)
+   or the registry and corpus batch frames (18), yet shallow enough
+   that a hostile frame cannot make the parser's stack, and with it the
+   cost of every minor collection, grow with the frame's size. *)
+let max_depth = 1000
+
 (* One pass: [next ()] lexes the token at [!pos] and the builder consumes
    tokens as they come.  A lexical error (an unterminated string, a bad
    escape) anywhere in the input outranks a structural one, so before a
@@ -138,19 +144,22 @@ let parse_sexp (s : string) : sexp =
     parse_error "%s" msg
   in
   (* Each list's items accumulate tail-recursively, so only nesting depth
-     uses stack. *)
-  let rec one = function
-    | T_open -> items []
+     uses stack, and [depth] (the number of enclosing lists) bounds it. *)
+  let rec one depth = function
+    | T_open ->
+      if depth >= max_depth then
+        structural (Printf.sprintf "nesting deeper than %d levels" max_depth)
+      else items (depth + 1) []
     | T_close -> structural "unexpected ')'"
     | T_atom a -> Atom a
     | T_end -> structural "unexpected end of input"
-  and items acc =
+  and items depth acc =
     match next () with
     | T_close -> List (List.rev acc)
     | T_end -> structural "unterminated '('"
-    | tok -> items (one tok :: acc)
+    | tok -> items depth (one depth tok :: acc)
   in
-  let sexp = one (next ()) in
+  let sexp = one 0 (next ()) in
   match next () with
   | T_end -> sexp
   | T_open -> structural "trailing input at \"(\""

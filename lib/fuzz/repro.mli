@@ -17,8 +17,9 @@ val parse_sexp : string -> sexp
 (** Parses one s-expression.  Atoms may be bare tokens or double-quoted
     strings with backslash escapes for quote, backslash, newline, tab
     and carriage return (the only way to spell an empty or
-    whitespace-bearing atom).  Raises {!Parse_error} on malformed
-    input. *)
+    whitespace-bearing atom).  Lists nest at most 1000 levels deep.
+    Raises {!Parse_error} on malformed input, and with the message
+    ["nesting deeper than 1000 levels"] on deeper nesting. *)
 
 
 val canon : sexp -> string

@@ -142,7 +142,13 @@ let test_repro_parse_errors () =
       ("\"a\\", "unterminated escape in string");
       ("\"\\q\"", "unknown escape '\\q'");
       (")\"", "unterminated string literal");
+      (String.make 1001 '(', "nesting deeper than 1000 levels");
+      (String.make 1001 '(' ^ "\"", "unterminated string literal");
     ];
+  (* Exactly the bound still parses. *)
+  let rec nest d = if d = 0 then F.Repro.Atom "x" else F.Repro.List [ nest (d - 1) ] in
+  Alcotest.(check bool) "1000 levels parse" true
+    (F.Repro.parse_sexp (F.Repro.canon (nest 1000)) = nest 1000);
   (* A long flat list (a big workload array) parses without stack
      depth proportional to its length. *)
   let long =

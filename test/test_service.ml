@@ -833,6 +833,60 @@ let test_malformed_items_reported_in_slot () =
       [ "event"; "cycle"; "compiled" ]
   | _ -> Alcotest.failf "bad batch shape: %s" out
 
+(* Nesting is bounded, so a frame of a few megabytes of open parens is
+   refused in one linear pass instead of holding the accept loop while
+   the parser's stack grows with it.  The frame does not parse, so its
+   one answer is the pinned depth error; the server then answers the
+   next frame as usual. *)
+let test_deep_frame_refused () =
+  let server = Server.create ~cache:(Cache.create (temp_dir ())) () in
+  let depth = 4_000_000 in
+  let frame =
+    "(batch " ^ String.make depth '(' ^ String.make depth ')' ^ ")"
+  in
+  let t0 = Unix.gettimeofday () in
+  let out = Server.handle_frame server frame in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  (match Wire.response_of_string out with
+  | Wire.Error msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "depth error pinned: %s" msg)
+      true
+      (Helpers.contains ~sub:"nesting deeper than 1000 levels" msg)
+  | _ -> Alcotest.failf "deep frame not refused: %s" out);
+  Alcotest.(check bool)
+    (Printf.sprintf "refused in %.2f s (< 1 s)" elapsed)
+    true (elapsed < 1.0);
+  match
+    Wire.responses_of_string
+      (Server.handle_frame server (Wire.batch_to_string [ Wire.Ping ]))
+  with
+  | [ Wire.Pong _ ] -> ()
+  | _ -> Alcotest.fail "next frame not answered"
+
+(* Everything real stays far inside the bound: every corpus reproducer,
+   and the batch [request --emit --corpus] sends (registry jobs by name
+   plus one run per reproducer). *)
+let test_corpus_and_emitted_batch_parse () =
+  let entries =
+    List.map F.Corpus.load_file (F.Corpus.files "fuzz_corpus")
+  in
+  Alcotest.(check bool) "corpus present" true (List.length entries >= 5);
+  let reqs =
+    List.map
+      (fun (e : Registry.entry) ->
+        Wire.Run { job = registry_job e; engine = Compiled })
+      Registry.all
+    @ List.map
+        (fun (e : F.Corpus.entry) ->
+          Wire.Run { job = job_of_case e.F.Corpus.case; engine = Compiled })
+        entries
+  in
+  let batch = Wire.batch_to_string reqs in
+  Alcotest.(check int) "every request parses back"
+    (List.length reqs)
+    (List.length (Wire.requests_of_string batch))
+
 (* The retired verify kind: [Job.compile] already runs the verifier, so
    a compile request answers what verify did.  A verify request in an
    old client's batch is an Error in its own slot; the run and compile
@@ -1051,6 +1105,10 @@ let () =
             test_malformed_items_reported_in_slot;
           Alcotest.test_case "a verify request fails in its slot" `Quick
             test_verify_kind_fails_in_slot;
+          Alcotest.test_case "a deeply nested frame is refused quickly"
+            `Quick test_deep_frame_refused;
+          Alcotest.test_case "corpus and emitted batch parse" `Quick
+            test_corpus_and_emitted_batch_parse;
           Alcotest.test_case "a bad frame header gets an error frame" `Quick
             test_bad_frame_header_answered;
         ] );
