@@ -1228,8 +1228,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Long-running compile-and-simulate server: batched \
-          compile/run requests over a Unix domain socket (or \
+         "Long-running compile-and-simulate server: batched run \
+          requests over a Unix domain socket (or \
           stdin/stdout), fanned out over a domain pool and answered \
           from a persistent content-addressed result cache")
     Term.(

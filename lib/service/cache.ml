@@ -1,14 +1,14 @@
 (** Content-addressed response store.
 
-    A key is (kernel digest, config digest, request kind, code
-    version); the digests are MD5 over {!Wire}'s digest inputs (the
-    kernel's canonical text; the rest of the job's canonical text plus
-    its workload's values in binary), the kind tells run and compile
-    answers apart, and the code version invalidates everything
-    when the pipeline's result semantics change (see {!Version} and
-    DESIGN.md).  The engine of a run request is not part of the key:
-    both engines answer with the same bytes, so an answer computed
-    under one is a hit under the other.
+    A key is (kernel digest, config digest, code version); the digests
+    are MD5 over {!Wire}'s digest inputs (the kernel's canonical text;
+    the rest of the job's canonical text plus its workload's values in
+    binary), and the code version invalidates everything when the
+    pipeline's result semantics change (see {!Version} and DESIGN.md).
+    A run is the only answer the store holds, so nothing about the
+    request beyond its job enters the key.  The engine of a run request
+    is not part of the key either: both engines answer with the same
+    bytes, so an answer computed under one is a hit under the other.
 
     On disk an entry is one file under a two-character shard directory:
 
@@ -35,7 +35,6 @@ module Json = Finepar_telemetry.Json
 type key = {
   kernel_digest : string;  (** MD5 hex of {!Wire.kernel_canon} *)
   config_digest : string;  (** MD5 hex of {!Wire.config_digest_input} *)
-  kind : string;  (** {!Wire.kind_slot} *)
   version : string;  (** {!Version.code_version} unless overridden *)
 }
 
@@ -64,28 +63,26 @@ let create ?max_entries ?(version = Version.code_version) dir =
 let digest_hex s = Digest.to_hex (Digest.string s)
 
 let key_of_request t req =
-  match (Wire.job_of_request req, Wire.kind_slot req) with
-  | Some job, Some kind ->
-    Some
+  Option.map
+    (fun job ->
       {
         kernel_digest = digest_hex (Wire.kernel_canon job);
         config_digest = digest_hex (Wire.config_digest_input job);
-        kind;
         version = t.version;
-      }
-  | _ -> None
+      })
+    (Wire.job_of_request req)
 
 let header key body =
   Printf.sprintf
-    "(entry (kernel_digest %s) (config_digest %s) (kind %s) (version %s) \
+    "(entry (kernel_digest %s) (config_digest %s) (version %s) \
      (body_digest %s))"
-    key.kernel_digest key.config_digest key.kind key.version (digest_hex body)
+    key.kernel_digest key.config_digest key.version (digest_hex body)
 
 let path t key =
   let hex =
     digest_hex
       (String.concat "\x00"
-         [ key.kernel_digest; key.config_digest; key.kind; key.version ])
+         [ key.kernel_digest; key.config_digest; key.version ])
   in
   Filename.concat (Filename.concat t.dir (String.sub hex 0 2)) (hex ^ ".sexp")
 

@@ -2,21 +2,18 @@
 
     One frame carries one batch.  Handling is three deterministic
     phases: (1) cache lookups and control requests on the calling
-    domain, in request order; (2) the misses, one per distinct key,
-    grouped by (kernel digest, config digest) so one compilation serves
-    every request kind of the same job, fanned out over
-    {!Finepar_exec.Pool} (whose merge is task-index ordered); (3) stores
-    and slot fills back on the calling domain, in group order.  Nothing
-    in any phase depends on domain scheduling, so responses are
-    byte-identical at [-j1] and [-jN], and a cached response is
-    byte-identical to a fresh one because the cache stores the
-    canonical response string verbatim.
+    domain, in request order; (2) the misses, one {!Finepar.Job.eval}
+    per distinct key, fanned out over {!Finepar_exec.Pool} (whose merge
+    is task-index ordered); (3) stores and slot fills back on the
+    calling domain, in first-miss order.  Nothing in any phase depends
+    on domain scheduling, so responses are byte-identical at [-j1] and
+    [-jN], and a cached response is byte-identical to a fresh one
+    because the cache stores the canonical response string verbatim.
 
     Pipeline failures (compile rejection, simulator deadlock, evaluator
     mismatch) become [Error] responses rendered through the exceptions'
     registered printers — deterministic, but never cached. *)
 
-module Compiler = Finepar.Compiler
 module Runner = Finepar.Runner
 module Job = Finepar.Job
 module Pool = Finepar_exec.Pool
@@ -29,57 +26,24 @@ type t = {
 
 let create ?pool ~cache () = { cache; pool; stop = false }
 
-(* ------------------------------------------------------------------ *)
-(* Job evaluation: one {!Finepar.Job.compile} per group, and every
-   request kind answered from that compilation.  A run is
-   {!Finepar.Job.run}, so its numbers are exactly what the in-process
-   evaluator measures for the same job.                                *)
-
-let run_response compiled (job : Wire.job) engine =
-  let r = Job.run ~engine job compiled in
-  Wire.Run_result
-    {
-      cycles = r.Runner.cycles;
-      instrs = r.Runner.instrs;
-      queues_used = r.Runner.queues_used;
-      load_counters = r.Runner.load_counters;
-      result = r.Runner.result;
-      report = r.Runner.telemetry;
-    }
-
-(* (canonical response string, cacheable).  Errors are deterministic
-   but never cached: a stored error would mask a later fix only a code
-   version bump could clear. *)
-let task_response compiled req =
-  match compiled with
-  | Error msg -> (Wire.response_to_string (Wire.Error msg), false)
-  | Ok compiled -> (
-    let response () =
-      match req with
-      | Wire.Run { job; engine } -> run_response compiled job engine
-      | Wire.Compile _ -> Wire.Compile_result compiled.Compiler.stats
-      | Wire.Stats | Wire.Ping | Wire.Shutdown -> assert false
-    in
-    match response () with
-    | resp -> (Wire.response_to_string resp, true)
-    | exception e ->
-      (Wire.response_to_string (Wire.Error (Printexc.to_string e)), false))
-
-let compute_group items =
-  let compiled =
-    match items with
-    | (req, _) :: _ -> (
-      let job = Option.get (Wire.job_of_request req) in
-      match Job.compile job with
-      | c -> Ok c
-      | exception e -> Error (Printexc.to_string e))
-    | [] -> assert false
-  in
-  List.map
-    (fun (req, (key : Cache.key)) ->
-      let body, cacheable = task_response compiled req in
-      (key, cacheable, body))
-    items
+(* (canonical response string, cacheable).  A run is {!Finepar.Job.eval},
+   checked bit-exact against the reference evaluator, so its numbers are
+   exactly what the in-process evaluator measures for the same job.
+   Errors are deterministic but never cached: a stored error would mask
+   a later fix only a code version bump could clear. *)
+let compute (job, engine) =
+  match Job.eval ~engine job with
+  | r ->
+    ( Wire.response_to_string
+        (Wire.Run_result
+           {
+             cycles = r.Runner.cycles;
+             load_counters = r.Runner.load_counters;
+             report = r.Runner.telemetry;
+           }),
+      true )
+  | exception e ->
+    (Wire.response_to_string (Wire.Error (Printexc.to_string e)), false)
 
 (* ------------------------------------------------------------------ *)
 (* Batch handling.                                                      *)
@@ -90,7 +54,7 @@ let control t = function
   | Wire.Shutdown ->
     t.stop <- true;
     Wire.Shutdown_ack
-  | Wire.Run _ | Wire.Compile _ -> assert false
+  | Wire.Run _ -> assert false
 
 let handle_requests t (reqs : (Wire.request, string) result list) :
     string list =
@@ -105,38 +69,25 @@ let handle_requests t (reqs : (Wire.request, string) result list) :
       | Error msg ->
         slots.(i) <-
           Wire.response_to_string (Wire.Error ("parse error: " ^ msg))
-      | Ok req -> (
-        match Cache.key_of_request t.cache req with
-        | None -> slots.(i) <- Wire.response_to_string (control t req)
-        | Some key -> (
-          match Cache.find t.cache key with
-          | Some body -> slots.(i) <- body
-          | None -> (
-            match Hashtbl.find_opt twins key with
-            | Some slots -> slots := i :: !slots
-            | None ->
-              Hashtbl.add twins key (ref [ i ]);
-              misses := (req, key) :: !misses))))
+      | Ok (Wire.Run { job; engine } as req) -> (
+        let key = Option.get (Cache.key_of_request t.cache req) in
+        match Cache.find t.cache key with
+        | Some body -> slots.(i) <- body
+        | None -> (
+          match Hashtbl.find_opt twins key with
+          | Some slots -> slots := i :: !slots
+          | None ->
+            Hashtbl.add twins key (ref [ i ]);
+            misses := (key, (job, engine)) :: !misses))
+      | Ok req -> slots.(i) <- Wire.response_to_string (control t req))
     reqs;
-  (* Group misses by (kernel digest, config digest), preserving first-
-     occurrence order: one compile serves all kinds of a job. *)
-  let groups = ref [] in
-  List.iter
-    (fun ((_, (key : Cache.key)) as item) ->
-      let gk = (key.Cache.kernel_digest, key.Cache.config_digest) in
-      match List.assoc_opt gk !groups with
-      | Some r -> r := item :: !r
-      | None -> groups := (gk, ref [ item ]) :: !groups)
-    (List.rev !misses);
-  let groups =
-    List.rev_map (fun (_, r) -> List.rev !r) !groups |> List.rev
-  in
-  let computed = Pool.map_opt t.pool ~f:compute_group groups in
-  List.iter
-    (List.iter (fun (key, cacheable, body) ->
-         if cacheable then Cache.store t.cache key body;
-         List.iter (fun i -> slots.(i) <- body) !(Hashtbl.find twins key)))
-    computed;
+  let misses = List.rev !misses in
+  let computed = Pool.map_opt t.pool ~f:(fun (_, run) -> compute run) misses in
+  List.iter2
+    (fun (key, _) (body, cacheable) ->
+      if cacheable then Cache.store t.cache key body;
+      List.iter (fun i -> slots.(i) <- body) !(Hashtbl.find twins key))
+    misses computed;
   Array.to_list slots
 
 let handle_frame t payload =

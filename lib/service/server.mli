@@ -5,10 +5,10 @@
     Determinism contract: responses are byte-identical whether served
     from cache or computed fresh, and identical at [-j1] and [-jN] —
     lookups/stores run on the calling domain in request order, misses
-    fan out over {!Finepar_exec.Pool} (task-index-ordered merge)
-    grouped by (kernel digest, config digest) so one compilation serves
-    every engine and request kind of a job, and requests sharing one
-    cache key are computed and stored once. *)
+    fan out over {!Finepar_exec.Pool} (task-index-ordered merge) as one
+    {!Finepar.Job.eval} per distinct key, and requests sharing one cache
+    key (a job's run under both engines) are computed and stored
+    once. *)
 
 type t
 

@@ -18,5 +18,10 @@
    instead of their [%h] text, so every key is new.
    fp-svc-5: the config digest holds the MD5 of the workload's values
    instead of the values themselves (so a registry workload's key costs
-   a memo lookup); response bytes are unchanged, but every key is new. *)
-let code_version = "fp-svc-5"
+   a memo lookup); response bytes are unchanged, but every key is new.
+   fp-svc-6: a run is the only computed answer.  The [compile] request
+   kind and the key's kind slot are gone, and a run response carries
+   cycles, load counters and the report but no longer the output
+   arrays, instrs or queues_used: every key and every run response is
+   new. *)
+let code_version = "fp-svc-6"

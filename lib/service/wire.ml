@@ -38,23 +38,18 @@ type job = Finepar.Job.t = {
 
 type request =
   | Run of { job : job; engine : Engine.t }
-  | Compile of job
   | Stats
   | Ping
   | Shutdown
 
 type run_payload = {
   cycles : int;
-  instrs : int;
-  queues_used : int;
   load_counters : (string * int * int) list;
-  result : Finepar_ir.Eval.result;
   report : Finepar.Report.t;
 }
 
 type response =
   | Run_result of run_payload
-  | Compile_result of Finepar.Compiler.stats
   | Stats_result of (string * int) list
   | Pong of string
   | Shutdown_ack
@@ -264,8 +259,6 @@ let sexp_of_request = function
         List [ Atom "engine"; Atom (Engine.to_string engine) ];
         sexp_of_job job;
       ]
-  | Compile job ->
-    List [ Atom "request"; List [ Atom "kind"; Atom "compile" ]; sexp_of_job job ]
   | Stats -> List [ Atom "request"; List [ Atom "kind"; Atom "stats" ] ]
   | Ping -> List [ Atom "request"; List [ Atom "kind"; Atom "ping" ] ]
   | Shutdown -> List [ Atom "request"; List [ Atom "kind"; Atom "shutdown" ] ]
@@ -286,9 +279,6 @@ let request_of_sexp s =
             (String.concat ", " (List.map Engine.to_string Engine.all))
       in
       Run { job = job_of_sexp (section "job" s); engine }
-    | "compile" ->
-      fields [ "kind"; "job" ];
-      Compile (job_of_sexp (section "job" s))
     | "stats" ->
       fields [ "kind" ];
       Stats
@@ -302,15 +292,7 @@ let request_of_sexp s =
   | _ -> err "expected (request ...)"
 
 let job_of_request = function
-  | Run { job; _ } | Compile job -> Some job
-  | Stats | Ping | Shutdown -> None
-
-(* The cache key's kind component.  The engine is deliberately absent:
-   every engine answers a run with the same bytes, so it only says how
-   to compute a miss. *)
-let kind_slot = function
-  | Run _ -> Some "run"
-  | Compile _ -> Some "compile"
+  | Run { job; _ } -> Some job
   | Stats | Ping | Shutdown -> None
 
 (* Digest inputs.  The kernel digest covers the program text alone; the
@@ -505,71 +487,6 @@ let report_of_sexp s : Finepar.Report.t =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Evaluator results, compiler stats.                                   *)
-
-let sexp_of_result (r : Finepar_ir.Eval.result) =
-  List
-    [
-      Atom "result";
-      List
-        (Atom "live_out"
-        :: List.map
-             (fun (name, v) -> List [ Atom name; sexp_of_value v ])
-             r.Finepar_ir.Eval.live_out);
-      List
-        (Atom "arrays_out"
-        :: List.map
-             (fun (name, vals) ->
-               List (Atom name :: List.map sexp_of_value (Array.to_list vals)))
-             r.Finepar_ir.Eval.arrays_out);
-    ]
-
-let result_of_sexp s =
-  {
-    Finepar_ir.Eval.live_out =
-      List.map
-        (function
-          | List [ Atom name; v ] -> (name, value_of_sexp v)
-          | _ -> err "bad live_out binding")
-        (field_items "live_out" s);
-    arrays_out =
-      List.map
-        (function
-          | List (Atom name :: vals) ->
-            (name, Array.of_list (List.map value_of_sexp vals))
-          | _ -> err "bad arrays_out binding")
-        (field_items "arrays_out" s);
-  }
-
-let sexp_of_stats (st : Finepar.Compiler.stats) =
-  let open Finepar.Compiler in
-  List
-    [
-      Atom "stats";
-      List [ Atom "initial_fibers"; Atom (string_of_int st.initial_fibers) ];
-      List [ Atom "data_deps"; Atom (string_of_int st.data_deps) ];
-      List [ Atom "load_balance"; float_atom st.load_balance ];
-      List [ Atom "com_ops"; Atom (string_of_int st.com_ops) ];
-      List
-        [ Atom "queue_pairs_static"; Atom (string_of_int st.queue_pairs_static) ];
-      List [ Atom "n_partitions"; Atom (string_of_int st.n_partitions) ];
-      List [ Atom "merge_steps"; Atom (string_of_int st.merge_steps) ];
-      List [ Atom "speculated_ifs"; Atom (string_of_int st.speculated_ifs) ];
-    ]
-
-let stats_of_sexp s =
-  {
-    Finepar.Compiler.initial_fibers = int_of (field "initial_fibers" s);
-    data_deps = int_of (field "data_deps" s);
-    load_balance = float_of (field "load_balance" s);
-    com_ops = int_of (field "com_ops" s);
-    queue_pairs_static = int_of (field "queue_pairs_static" s);
-    n_partitions = int_of (field "n_partitions" s);
-    merge_steps = int_of (field "merge_steps" s);
-    speculated_ifs = int_of (field "speculated_ifs" s);
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Responses.                                                           *)
 
 let sexp_of_response = function
@@ -579,14 +496,9 @@ let sexp_of_response = function
         Atom "response";
         List [ Atom "kind"; Atom "run" ];
         List [ Atom "cycles"; Atom (string_of_int p.cycles) ];
-        List [ Atom "instrs"; Atom (string_of_int p.instrs) ];
-        List [ Atom "queues_used"; Atom (string_of_int p.queues_used) ];
         sexp_of_counters "load_counters" p.load_counters;
-        sexp_of_result p.result;
         sexp_of_report p.report;
       ]
-  | Compile_result st ->
-    List [ Atom "response"; List [ Atom "kind"; Atom "compile" ]; sexp_of_stats st ]
   | Stats_result counters ->
     List
       [
@@ -623,13 +535,9 @@ let response_of_sexp s =
       Run_result
         {
           cycles = int_of (field "cycles" s);
-          instrs = int_of (field "instrs" s);
-          queues_used = int_of (field "queues_used" s);
           load_counters = counters_of_sexp "load_counters" s;
-          result = result_of_sexp (section "result" s);
           report = report_of_sexp (section "report" s);
         }
-    | "compile" -> Compile_result (stats_of_sexp (section "stats" s))
     | "stats" ->
       Stats_result
         (List.map

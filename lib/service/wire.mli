@@ -1,5 +1,11 @@
 (** Canonical wire format for the compile-and-simulate service.
 
+    The service computes one thing: a run.  A [Run] request carries a
+    job; its answer carries the simulated cycles, the per-array load
+    counters and the telemetry report.  The output arrays stay on the
+    server, which checks them bit-exact against the reference evaluator
+    before it answers: a mismatch is an [Error].
+
     Every message is one s-expression rendered with
     {!Finepar_fuzz.Repro.canon}, so equal values serialize to equal
     bytes: the framing layer and the content-addressed cache both key
@@ -45,23 +51,20 @@ type request =
       (** [engine] is a hint for how to compute the run: both engines
           answer with the same bytes, so it is not part of the cache
           key *)
-  | Compile of job
   | Stats  (** cache hit/miss counters — not cached itself *)
   | Ping  (** liveness + code version — not cached *)
   | Shutdown
 
 type run_payload = {
   cycles : int;
-  instrs : int;
-  queues_used : int;
   load_counters : (string * int * int) list;
-  result : Finepar_ir.Eval.result;
+      (** per-array (name, loads, L1 misses): the profile feedback a
+          later parallel compile takes *)
   report : Finepar.Report.t;
 }
 
 type response =
   | Run_result of run_payload
-  | Compile_result of Finepar.Compiler.stats
   | Stats_result of (string * int) list
   | Pong of string  (** code version *)
   | Shutdown_ack
@@ -70,12 +73,7 @@ type response =
           cached *)
 
 val job_of_request : request -> job option
-(** The job a cacheable request carries; [None] for control requests. *)
-
-val kind_slot : request -> string option
-(** The cache key's request-kind component: ["run"] or ["compile"];
-    [None] for control requests.  The engine of a [Run] is
-    not part of the key. *)
+(** The job a [Run] carries; [None] for control requests. *)
 
 val kernel_canon : job -> string
 (** Digest input covering the kernel text alone. *)

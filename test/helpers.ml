@@ -75,3 +75,11 @@ let check_accounting name (sim : Sim.t) =
         (Printf.sprintf "%s core %d: every cycle accounted" name i)
         cycles (Sim.accounted_cycles s))
     sim.Sim.stats
+
+(* The checked-in fuzz regression corpus: [fuzz_corpus] when the suite
+   runs where [dune runtest] runs it (the test directory), else
+   [test/fuzz_corpus] (the repository root, as with [dune exec]). *)
+let corpus_dir =
+  if Sys.file_exists "fuzz_corpus" && Sys.is_directory "fuzz_corpus" then
+    "fuzz_corpus"
+  else "test/fuzz_corpus"

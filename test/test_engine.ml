@@ -132,7 +132,7 @@ let registry_cases =
 (* Fuzz corpus differential.                                           *)
 
 let test_corpus_differential () =
-  let files = Finepar_fuzz.Corpus.files "fuzz_corpus" in
+  let files = Finepar_fuzz.Corpus.files Helpers.corpus_dir in
   Alcotest.(check bool) "corpus present" true (files <> []);
   List.iter
     (fun path ->

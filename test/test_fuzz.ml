@@ -315,7 +315,7 @@ let test_driver_reports_and_saves () =
 (* Corpus replay.                                                      *)
 
 let test_corpus_green () =
-  let replays = F.Corpus.replay_dir "fuzz_corpus" in
+  let replays = F.Corpus.replay_dir Helpers.corpus_dir in
   Alcotest.(check bool)
     (Printf.sprintf "corpus present (%d entries)" (List.length replays))
     true

@@ -49,12 +49,17 @@ let job_of_case (c : F.Gen.case) =
 
 let job_of_seed seed = job_of_case (F.Gen.case_of_seed seed)
 
+(* The job's run under every engine (twins: one key), and its
+   sequential baseline's run (a second key). *)
 let requests_of_seed seed =
   let job = job_of_seed seed in
   List.map
     (fun engine -> Wire.Run { job; engine })
     Finepar_machine.Engine.all
-  @ [ Wire.Compile job ]
+  @ [
+      Wire.Run
+        { job = { job with sequential = true }; engine = Finepar_machine.Engine.default };
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Wire round-trips.                                                   *)
@@ -114,16 +119,19 @@ let test_registry_workloads_by_name () =
   List.iter
     (fun (e : Registry.entry) ->
       let name = registry_name e in
-      let s = Wire.request_to_string (Wire.Compile (registry_job e)) in
+      let s =
+        Wire.request_to_string
+          (Wire.Run { job = registry_job e; engine = Finepar_machine.Engine.Compiled })
+      in
       Alcotest.(check bool) (name ^ " travels by name") true
         (Helpers.contains ~sub:("(workload registry " ^ name ^ " ") s);
       Alcotest.(check bool) (name ^ " carries no values") false
         (Helpers.contains ~sub:"explicit" s);
       match Wire.request_of_string s with
-      | Wire.Compile { workload = Wire.Explicit w; _ } ->
+      | Wire.Run { job = { workload = Wire.Explicit w; _ }; _ } ->
         Alcotest.(check bool) (name ^ " decodes to the registry's own value")
           true (w == e.Registry.workload)
-      | _ -> Alcotest.failf "%s: expected a compile with explicit values" name)
+      | _ -> Alcotest.failf "%s: expected a run with explicit values" name)
     Registry.all
 
 let roundtrip_weight w =
@@ -214,7 +222,8 @@ let test_response_roundtrip_with_report () =
   (* Full Run payload — including the telemetry report with histograms
      — must round-trip to identical canonical bytes, and the decoded
      report must serialize (JSON and CSV) identically to the
-     original. *)
+     original.  A run response carries what its readers read and no
+     more: the output arrays stay on the server, which checks them. *)
   let cache = Cache.create (temp_dir ()) in
   let server = Server.create ~cache () in
   let reqs = requests_of_seed 7 in
@@ -228,6 +237,19 @@ let test_response_roundtrip_with_report () =
         (Wire.response_to_string r);
       match r with
       | Wire.Run_result p ->
+        let fields =
+          match F.Repro.parse_sexp s with
+          | F.Repro.List (F.Repro.Atom "response" :: items) ->
+            List.map
+              (function
+                | F.Repro.List (F.Repro.Atom name :: _) -> name
+                | _ -> Alcotest.failf "bare atom in a run response: %s" s)
+              items
+          | _ -> Alcotest.failf "not a response: %s" s
+        in
+        Alcotest.(check (list string)) "run response fields"
+          [ "kind"; "cycles"; "load_counters"; "report" ]
+          fields;
         let report' =
           Wire.report_of_sexp (Wire.sexp_of_report p.Wire.report)
         in
@@ -238,8 +260,7 @@ let test_response_roundtrip_with_report () =
         Alcotest.(check string) "report CSV survives decode"
           (Finepar.Report.to_csv p.Wire.report)
           (Finepar.Report.to_csv report')
-      | Wire.Compile_result _ -> ()
-      | _ -> Alcotest.fail "unexpected response kind")
+      | _ -> Alcotest.failf "unexpected response kind: %s" s)
     responses
 
 (* ------------------------------------------------------------------ *)
@@ -328,11 +349,9 @@ let test_key_sensitivity () =
   differ "a NaN's sign" [ ("x", [| Float.nan |]) ]
     [ ("x", [| Float.neg Float.nan |]) ];
   (* Both engines answer a run with the same bytes, so the engine is a
-     hint for how to compute, not a key component; the request kind
-     still is. *)
+     hint for how to compute, not a key component. *)
   Alcotest.(check bool) "engine leaves the key unchanged" true
     (key (Wire.Run { job = base_job; engine = Compiled }) = base);
-  check_differs "request kind (compile)" (Wire.Compile base_job);
   (* Control requests are keyless. *)
   List.iter
     (fun req ->
@@ -353,11 +372,11 @@ let test_version_bump_invalidates () =
   Alcotest.(check string) "only the version component moved"
     k1.Cache.kernel_digest k2.Cache.kernel_digest;
   (* The current version answers nothing stored by the previous one. *)
-  let old = Cache.create ~version:"fp-svc-4" dir in
+  let old = Cache.create ~version:"fp-svc-5" dir in
   let k_old = Option.get (Cache.key_of_request old req) in
-  Cache.store old k_old "(response (kind pong) (version fp-svc-4))";
+  Cache.store old k_old "(response (kind pong) (version fp-svc-5))";
   let current = Cache.create dir in
-  Alcotest.(check bool) "an fp-svc-4 entry misses" true
+  Alcotest.(check bool) "an fp-svc-5 entry misses" true
     (Cache.find current (Option.get (Cache.key_of_request current req)) = None)
 
 let test_corrupt_entries_are_misses () =
@@ -517,14 +536,15 @@ let test_engine_twins_share_entry () =
    but keys, and answers, exactly like the named original. *)
 let test_registry_copy_shares_key () =
   let cache = Cache.create (temp_dir ()) in
-  let key job = Cache.key_of_request cache (Wire.Compile job) in
+  let run job = Wire.Run { job; engine = Compiled } in
+  let key job = Cache.key_of_request cache (run job) in
   List.iter
     (fun (e : Registry.entry) ->
       let copy = registry_job ~workload:(deep_copy e) e in
       let name = registry_name e in
       Alcotest.(check bool) (name ^ " copy travels explicitly") true
         (Helpers.contains ~sub:"(workload explicit"
-           (Wire.request_to_string (Wire.Compile copy)));
+           (Wire.request_to_string (run copy)));
       Alcotest.(check bool) (name ^ " copy shares the named key") true
         (key copy = key (registry_job e)))
     Registry.all;
@@ -634,8 +654,8 @@ let test_registry_frame_mutations () =
     List.map Wire.sexp_of_request
       [
         Wire.Run { job = entry "sphot-1"; engine = Compiled };
-        Wire.Compile (entry "umt2k-1");
-        Wire.Compile (entry "umt2k-5");
+        Wire.Run { job = entry "umt2k-1"; engine = Compiled };
+        Wire.Run { job = entry "umt2k-5"; engine = Compiled };
       ]
   in
   let batch items = F.Repro.canon (F.Repro.List (F.Repro.Atom "batch" :: items)) in
@@ -733,7 +753,7 @@ let test_corpus_parallel_equals_serial () =
      shared-cache reproducers — replayed through the service on every
      engine: a 4-domain pool must produce the same bytes as -j1. *)
   let entries =
-    List.map F.Corpus.load_file (F.Corpus.files "fuzz_corpus")
+    List.map F.Corpus.load_file (F.Corpus.files Helpers.corpus_dir)
   in
   Alcotest.(check bool) "corpus present" true (List.length entries >= 5);
   let modes =
@@ -869,7 +889,7 @@ let test_deep_frame_refused () =
    plus one run per reproducer). *)
 let test_corpus_and_emitted_batch_parse () =
   let entries =
-    List.map F.Corpus.load_file (F.Corpus.files "fuzz_corpus")
+    List.map F.Corpus.load_file (F.Corpus.files Helpers.corpus_dir)
   in
   Alcotest.(check bool) "corpus present" true (List.length entries >= 5);
   let reqs =
@@ -887,18 +907,19 @@ let test_corpus_and_emitted_batch_parse () =
     (List.length reqs)
     (List.length (Wire.requests_of_string batch))
 
-(* The retired verify kind: [Job.compile] already runs the verifier, so
-   a compile request answers what verify did.  A verify request in an
-   old client's batch is an Error in its own slot; the run and compile
-   slots around it are answered, and stored, as if it were absent. *)
+(* The retired request kinds.  [verify] went first ([Job.compile]
+   already runs the verifier), then [compile]: a run is the one answer
+   the service computes.  Either kind in an old client's batch is an
+   Error naming it in its own slot; the run slot beside them is
+   answered, and stored, as if they were absent. *)
 let test_verify_kind_fails_in_slot () =
   let job = registry_job (Option.get (Registry.find "lammps-3")) in
-  let run = Wire.Run { job; engine = Compiled } and compile = Wire.Compile job in
-  let verify =
+  let run = Wire.Run { job; engine = Compiled } in
+  let retired kind =
     F.Repro.List
       [
         F.Repro.Atom "request";
-        F.Repro.List [ F.Repro.Atom "kind"; F.Repro.Atom "verify" ];
+        F.Repro.List [ F.Repro.Atom "kind"; F.Repro.Atom kind ];
         Wire.sexp_of_job job;
       ]
   in
@@ -910,28 +931,33 @@ let test_verify_kind_fails_in_slot () =
          (F.Repro.List
             [
               F.Repro.Atom "batch";
+              retired "verify";
               Wire.sexp_of_request run;
-              verify;
-              Wire.sexp_of_request compile;
+              retired "compile";
             ]))
   in
   let alone =
     Server.handle_requests
       (Server.create ~cache:(Cache.create (temp_dir ())) ())
-      [ Ok run; Ok compile ]
+      [ Ok run ]
+  in
+  let names_kind kind item =
+    match Wire.response_of_string (F.Repro.canon item) with
+    | Wire.Error msg ->
+      Alcotest.(check bool) (Printf.sprintf "names the %s kind: %s" kind msg)
+        true
+        (Helpers.contains ~sub:"unknown request kind" msg
+        && Helpers.contains ~sub:kind msg)
+    | _ -> Alcotest.failf "%s slot answered: %s" kind out
   in
   (match Wire.batch_items_of_string out with
-  | [ r; v; c ] -> (
-    Alcotest.(check (list string)) "run and compile answered as if alone" alone
-      [ F.Repro.canon r; F.Repro.canon c ];
-    match Wire.response_of_string (F.Repro.canon v) with
-    | Wire.Error msg ->
-      Alcotest.(check bool) ("names the verify kind: " ^ msg) true
-        (Helpers.contains ~sub:"unknown request kind" msg
-        && Helpers.contains ~sub:"verify" msg)
-    | _ -> Alcotest.failf "verify slot answered: %s" out)
+  | [ v; r; c ] ->
+    Alcotest.(check (list string)) "run answered as if alone" alone
+      [ F.Repro.canon r ];
+    names_kind "verify" v;
+    names_kind "compile" c
   | _ -> Alcotest.failf "bad batch shape: %s" out);
-  Alcotest.(check int) "only run and compile stored" 2
+  Alcotest.(check int) "only the run stored" 1
     (List.assoc "stores" (Cache.counters cache))
 
 let test_bad_frame_header_answered () =

@@ -254,7 +254,7 @@ let test_registry_accepted () =
 let test_corpus_accepted () =
   (* dune runs tests with cwd = _build/default/test; the corpus is a
      declared glob dependency there. *)
-  let files = Finepar_fuzz.Corpus.files "fuzz_corpus" in
+  let files = Finepar_fuzz.Corpus.files Helpers.corpus_dir in
   Alcotest.(check bool) "corpus present" true (List.length files > 0);
   List.iter
     (fun path ->
