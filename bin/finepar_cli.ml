@@ -5,12 +5,19 @@
      run        compile one kernel and simulate it
      verify     static queue-protocol verification (kernels, corpus, smoke)
      show       dump compiler stages for one kernel
-     trace      simulate and export a Chrome trace_event timeline
-     report     per-core / per-queue / per-fiber cycle attribution
+     report     per-core / per-queue / per-fiber cycle attribution, or a
+                Chrome trace_event timeline (--format=chrome)
      sweep      transfer-latency sweep for one kernel
      autotune   compile several code versions, keep the fastest
      classify   the 51-loop characterization funnel
-     fuzz       differential fuzzing with shrinking and a corpus *)
+     fuzz       differential fuzzing with shrinking and a corpus
+     serve      the compile-and-simulate service
+     request    send a batch request file to it
+
+   [run], [report] and [show] take one job: the kernel's parallel job
+   fed its sequential run's load counters ({!Job.fed}), the compile
+   that [run] measures.  Host pass times: [run --profile] and
+   [run --trace-out]. *)
 
 open Cmdliner
 open Finepar
@@ -119,8 +126,8 @@ let machine_of ?(issue_width = 1) ~latency ~queue_len () =
     issue_width;
   }
 
-(* The job the single-kernel subcommands ([run], [report], [trace],
-   [profile]) measure: a registry kernel on its fixed workload. *)
+(* The job the single-kernel subcommands start from: a registry kernel
+   on its fixed workload, before profile feedback. *)
 let registry_job ?(issue_width = 1) ?(comm = Finepar_transform.Comm.Queues)
     ~name ~cores ~latency ~queue_len ~speculation ~throughput () =
   let e = find_entry name in
@@ -165,51 +172,62 @@ let via_arg =
   in
   Arg.(value & opt (some via_conv) None & info [ "via" ] ~doc ~docv:"VIA")
 
-(* A session: one exec function whose cache handle (store:) or socket
-   connection persists across batches of the same CLI invocation, plus
-   that handle's hit/miss counters (invocation-lifetime for store:,
-   server-lifetime for socket:).  [pool] parallelizes the in-process
-   store path's miss computation. *)
+(* Run [f] over [session], then print to stderr the cache counters it
+   moved: hits and misses are the difference across [f] (a server's own
+   counters are lifetime totals), entries the store's size after it. *)
+let with_batch_counters session f =
+  let counters () = Svc_client.session_counters session in
+  let before = counters () in
+  let v = f () in
+  let after = counters () in
+  let get cs name = Option.value ~default:0 (List.assoc_opt name cs) in
+  let moved name = get after name - get before name in
+  let hits = moved "hits" and misses = moved "misses" in
+  let total = hits + misses in
+  Fmt.epr "cache: %d hits, %d misses (%.1f%% hit rate), %d entries@." hits
+    misses
+    (if total = 0 then 0. else 100. *. float_of_int hits /. float_of_int total)
+    (get after "entries");
+  v
+
+(* A session: [f] gets one exec function whose cache handle (store:) or
+   socket connection persists across the batches of this CLI invocation;
+   the counters those batches moved then go to stderr.  [pool]
+   parallelizes the in-process store path's miss computation. *)
 let with_via ?pool via f =
   match
     Svc_client.with_session ?pool via (fun session ->
-        f
-          ~exec:(Svc_client.session_exec session)
-          ~counters:(fun () -> Svc_client.session_counters session))
+        with_batch_counters session (fun () ->
+            f (Svc_client.session_exec session)))
   with
   | v -> v
   | exception Failure msg ->
     Fmt.epr "%s@." msg;
     exit 1
 
-let pp_cache_counters counters =
-  let get name = Option.value ~default:0 (List.assoc_opt name counters) in
-  let hits = get "hits" and misses = get "misses" in
-  let total = hits + misses in
-  Fmt.epr "cache: %d hits, %d misses (%.1f%% hit rate), %d entries@." hits
-    misses
-    (if total = 0 then 0. else 100. *. float_of_int hits /. float_of_int total)
-    (get "entries")
-
-(* The evaluator behind every measuring subcommand: {!Job.direct}, or
-   with --via the service evaluator over one session, whose cache
-   counters then go to stderr.  The protocol run over it ({!Job.speedup},
-   {!Job.autotune}, the search) is the same code either way, so stdout is
-   the same bytes either way; a failed measurement exits 1 on both. *)
-let with_evaluator ?pool ~engine via f =
-  match
-    match via with
-    | None -> f (Job.direct ?pool ~engine ())
-    | Some via ->
-      with_via ?pool via @@ fun ~exec ~counters ->
-      let v = f (Finepar_tune.Service_eval.evaluator ~exec ~engine) in
-      pp_cache_counters (counters ());
-      v
-  with
+let or_exit f =
+  match f () with
   | v -> v
   | exception Job.Failed msg ->
     Fmt.epr "error: %s@." msg;
     exit 1
+
+(* The evaluator behind every measuring subcommand: {!Job.direct}, or
+   with --via the service evaluator over one session.  The protocol run
+   over it ({!Job.speedup}, {!Job.autotune}, the search) is the same code
+   either way, so stdout is the same bytes either way; a failed
+   measurement exits 1 on both. *)
+let with_evaluator ?pool ~engine via f =
+  or_exit @@ fun () ->
+  match via with
+  | None -> f (Job.direct ?pool ~engine ())
+  | Some via ->
+    with_via ?pool via @@ fun exec ->
+    f (Finepar_tune.Service_eval.evaluator ~exec ~engine)
+
+(* [job] fed its sequential run's load counters, measured in process. *)
+let fed_job ~engine job =
+  snd (or_exit (fun () -> Job.fed (Job.direct ~engine ()) job))
 
 (* The fuzz reproducer's case as a job on its seeded workload. *)
 let case_job (case : Finepar_fuzz.Gen.case) =
@@ -346,42 +364,54 @@ let run_cmd =
 
 let show_cmd =
   let stage_arg =
-    let doc = "Stage to dump: kernel, region, fibers, graph, partition, asm, timeline." in
-    Arg.(value & opt string "partition" & info [ "stage" ] ~doc)
+    let doc =
+      "Stage to dump: kernel, region, fibers, graph, partition, asm, \
+       timeline."
+    in
+    let stages =
+      [
+        ("kernel", `Kernel); ("region", `Region); ("fibers", `Fibers);
+        ("graph", `Graph); ("partition", `Partition); ("asm", `Asm);
+        ("timeline", `Timeline);
+      ]
+    in
+    Arg.(value & opt (enum stages) `Partition & info [ "stage" ] ~doc)
   in
   let run name cores stage =
     let e = find_entry name in
-    let config = Compiler.default_config ~cores () in
-    let c = Compiler.compile config e.Registry.kernel in
+    let engine = Finepar_machine.Engine.default in
+    let c =
+      Job.compile
+        (fed_job ~engine
+           (registry_job ~name ~cores ~latency:5 ~queue_len:20
+              ~speculation:false ~throughput:false ()))
+    in
     match stage with
-    | "kernel" -> Fmt.pr "%a@." Finepar_ir.Kernel.pp e.Registry.kernel
-    | "region" ->
+    | `Kernel -> Fmt.pr "%a@." Finepar_ir.Kernel.pp e.Registry.kernel
+    | `Region ->
       Fmt.pr "%a@." Finepar_ir.Region.pp
         (Finepar_ir.Region.of_kernel e.Registry.kernel)
-    | "fibers" -> Fmt.pr "%a@." Finepar_ir.Region.pp c.Compiler.region
-    | "graph" -> Fmt.pr "%a@." Finepar_analysis.Deps.pp c.Compiler.deps
-    | "partition" ->
+    | `Fibers -> Fmt.pr "%a@." Finepar_ir.Region.pp c.Compiler.region
+    | `Graph -> Fmt.pr "%a@." Finepar_analysis.Deps.pp c.Compiler.deps
+    | `Partition ->
       List.iter
         (fun (s : Finepar_ir.Region.sstmt) ->
           Fmt.pr "core %d | %a@."
             c.Compiler.cluster_of.(s.Finepar_ir.Region.id)
             Finepar_ir.Region.pp_sstmt s)
         c.Compiler.region.Finepar_ir.Region.stmts
-    | "asm" ->
+    | `Asm ->
       Fmt.pr "%a@." Finepar_machine.Program.pp
         c.Compiler.code.Finepar_codegen.Lower.program
-    | "timeline" ->
+    | `Timeline ->
       (* Per-core activity for the first cycles of the run: one column
          per cycle; '#' = instruction issued, 'E'/'D' = enqueue/dequeue
          issued, '~' = stalled on a queue, '.' = other (operand stall or
          idle). *)
-      let sim =
-        Finepar_machine.Sim.create ~tracing:true
-          ~config:c.Compiler.config.Compiler.machine
-          ~initial:e.Registry.workload
-          c.Compiler.code.Finepar_codegen.Lower.program
+      let _, sim =
+        Runner.run_with_sim ~tracing:true ~engine ~workload:e.Registry.workload
+          c
       in
-      ignore (Finepar_machine.Sim.run sim);
       let cores_n =
         Array.length c.Compiler.code.Finepar_codegen.Lower.program.Finepar_machine.Program.cores
       in
@@ -444,9 +474,6 @@ let show_cmd =
       Fmt.pr
         "legend: '#' issue, 'E' enqueue, 'D' dequeue, '~' queue stall, 'o' \
          operand stall, '.' wait/idle@."
-    | other ->
-      Fmt.epr "unknown stage %s@." other;
-      exit 1
   in
   Cmd.v (Cmd.info "show" ~doc:"Dump compiler stages for one kernel")
     Term.(const run $ kernel_arg $ cores_arg $ stage_arg)
@@ -463,30 +490,30 @@ let with_output file f =
     Fmt.pr "wrote %s@." file
   end
 
-let compile_and_sim ?issue_width ?comm ~name ~cores ~latency ~queue_len
-    ~speculation ~throughput ~tracing ~engine () =
-  let job =
-    registry_job ?issue_width ?comm ~name ~cores ~latency ~queue_len
-      ~speculation ~throughput ()
+let report_cmd =
+  let format_arg =
+    let doc =
+      "Output format: $(b,text), $(b,json) or $(b,csv) attribution, or \
+       $(b,chrome): a Chrome trace_event timeline (open in \
+       chrome://tracing or Perfetto) with one lane per core, an occupancy \
+       counter per queue, and a host lane (pid 3) with the compile span, \
+       its pass spans and the simulator run."
+    in
+    let formats =
+      [ ("text", `Text); ("json", `Json); ("csv", `Csv); ("chrome", `Chrome) ]
+    in
+    Arg.(value & opt (enum formats) `Text & info [ "format" ] ~doc)
   in
-  Runner.run_with_sim ~tracing ~engine
-    ~workload:(find_entry name).Registry.workload (Job.compile job)
-
-(* Run [f] under a fresh installed tracer; its spans are the host lane
-   of [trace] and the tree of [profile]. *)
-let with_host_tracer f =
-  let tracer = Finepar_telemetry.Tracer.create () in
-  Finepar_telemetry.Tracer.install tracer;
-  let v = Fun.protect ~finally:Finepar_telemetry.Tracer.uninstall f in
-  (v, tracer)
-
-let trace_cmd =
-  let run name cores latency queue_len speculation throughput issue_width comm
-      engine output =
-    let (_, sim), tracer =
-      with_host_tracer @@ fun () ->
-      compile_and_sim ~issue_width ~comm ~name ~cores ~latency ~queue_len
-        ~speculation ~throughput ~tracing:true ~engine ()
+  (* The fed job's compile and simulation in process, under a fresh host
+     tracer and with the simulator's event ring on. *)
+  let chrome ~engine ~name job output =
+    let fed = fed_job ~engine job in
+    let tracer = Finepar_telemetry.Tracer.create () in
+    Finepar_telemetry.Tracer.install tracer;
+    let _, sim =
+      Fun.protect ~finally:Finepar_telemetry.Tracer.uninstall @@ fun () ->
+      Runner.run_with_sim ~tracing:true ~engine
+        ~workload:(find_entry name).Registry.workload (Job.compile fed)
     in
     let events =
       Report.chrome_trace sim @ Finepar_telemetry.Tracer.to_chrome tracer
@@ -500,22 +527,23 @@ let trace_cmd =
          to keep them@."
         dropped
   in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Simulate one kernel and export a Chrome trace_event timeline \
-          (open in chrome://tracing or Perfetto): one lane per core, an \
-          occupancy counter per queue, and a host lane (pid 3) with the \
-          compile span, its pass spans and the simulator run")
-    Term.(
-      const run $ kernel_arg $ cores_arg $ latency_arg $ queue_len_arg
-      $ speculation_arg $ throughput_arg $ issue_width_arg $ comm_arg
-      $ engine_arg $ output_arg)
-
-let report_cmd =
-  let format_arg =
-    let doc = "Output format: text, json or csv." in
-    Arg.(value & opt string "text" & info [ "format" ] ~doc)
+  (* The attribution of the fed job, in process or through the cache:
+     the sequential run, then the fed parallel run.  The report is guest
+     data only, so every format is the same bytes either way; CI
+     compares them. *)
+  let attribution ~engine via job =
+    match via with
+    | None -> (Job.eval ~engine (fed_job ~engine job)).Runner.telemetry
+    | Some via -> (
+      or_exit @@ fun () ->
+      with_via via @@ fun exec ->
+      let _, fed =
+        Job.fed (Finepar_tune.Service_eval.evaluator ~exec ~engine) job
+      in
+      match exec [ Wire.Run { job = fed; engine } ] with
+      | [ Wire.Run_result p ] -> p.Wire.report
+      | [ Wire.Error msg ] -> raise (Job.Failed msg)
+      | _ -> raise (Job.Failed "service: unexpected response kind"))
   in
   let run name cores latency queue_len speculation throughput issue_width comm
       engine via format output =
@@ -523,47 +551,36 @@ let report_cmd =
       registry_job ~issue_width ~comm ~name ~cores ~latency ~queue_len
         ~speculation ~throughput ()
     in
-    (* One job, evaluated in process or through the cache: the report
-       is guest data only, so every format is the same bytes either
-       way; CI compares them. *)
-    let t =
-      match via with
-      | None -> (Job.eval ~engine job).Runner.telemetry
-      | Some via ->
-        with_via via @@ fun ~exec ~counters:_ ->
-        match exec [ Wire.Run { job; engine } ] with
-        | [ Wire.Run_result p ] -> p.Wire.report
-        | [ Wire.Error msg ] ->
-          Fmt.epr "error: %s@." msg;
-          exit 1
-        | _ ->
-          Fmt.epr "service: unexpected response kind@.";
-          exit 1
-    in
-    match format with
-    | "text" ->
-      with_output output (fun oc ->
-          Fmt.pf (Format.formatter_of_out_channel oc) "%a@." Report.pp t)
-    | "json" ->
-      with_output output (fun oc ->
-          Finepar_telemetry.Json.to_channel oc (Report.to_json t);
-          output_char oc '\n')
-    | "csv" ->
-      with_output output (fun oc -> output_string oc (Report.to_csv t))
-    | other ->
-      Fmt.epr "unknown format %s (expected text, json or csv)@." other;
-      exit 1
+    match (format, via) with
+    | `Chrome, Some _ ->
+      `Error
+        (true, "--format=chrome runs in process (it reads the simulator's \
+                event ring); drop --via")
+    | `Chrome, None -> `Ok (chrome ~engine ~name job output)
+    | ((`Text | `Json | `Csv) as format), via ->
+      let t = attribution ~engine via job in
+      `Ok
+        (with_output output @@ fun oc ->
+         match format with
+         | `Text ->
+           Fmt.pf (Format.formatter_of_out_channel oc) "%a@." Report.pp t
+         | `Json ->
+           Finepar_telemetry.Json.to_channel oc (Report.to_json t);
+           output_char oc '\n'
+         | `Csv -> output_string oc (Report.to_csv t))
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Per-core, per-queue and per-fiber cycle attribution for one \
-          simulated kernel (host pass times: $(b,profile) or \
-          $(b,run --profile))")
+         "Per-core, per-queue and per-fiber cycle attribution, or a Chrome \
+          trace (--format=chrome), of one kernel's profile-fed parallel \
+          compile: the compile and cycles that $(b,run) measures (host \
+          pass times: $(b,run --profile))")
     Term.(
-      const run $ kernel_arg $ cores_arg $ latency_arg $ queue_len_arg
-      $ speculation_arg $ throughput_arg $ issue_width_arg $ comm_arg
-      $ engine_arg $ via_arg $ format_arg $ output_arg)
+      ret
+        (const run $ kernel_arg $ cores_arg $ latency_arg $ queue_len_arg
+        $ speculation_arg $ throughput_arg $ issue_width_arg $ comm_arg
+        $ engine_arg $ via_arg $ format_arg $ output_arg))
 
 let sweep_cmd =
   let run name cores queue_len engine via trace_out profile =
@@ -641,7 +658,10 @@ let autotune_cmd =
   in
   let format_arg =
     let doc = "Search output format: text or json." in
-    Arg.(value & opt string "text" & info [ "format" ] ~doc)
+    Arg.(
+      value
+      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+      & info [ "format" ] ~doc)
   in
   let search ~name ~scope ~fuzz_corpus ~params ~engine ~via ~jobs ~format
       ~output =
@@ -691,20 +711,14 @@ let autotune_cmd =
       (if dt > 0. then
          Fmt.str " (%.1f configs/sec)" (float_of_int evaluated /. dt)
        else "");
+    with_output output @@ fun oc ->
     match format with
-    | "text" ->
-      with_output output (fun oc ->
-          Fmt.pf
-            (Format.formatter_of_out_channel oc)
-            "%a@?" Tune_search.pp_table rows)
-    | "json" ->
-      with_output output (fun oc ->
-          Finepar_telemetry.Json.to_channel oc
-            (Tune_search.to_json ~params rows);
-          output_char oc '\n')
-    | other ->
-      Fmt.epr "unknown format %s (expected text or json)@." other;
-      exit 1
+    | `Text ->
+      Fmt.pf (Format.formatter_of_out_channel oc) "%a@?" Tune_search.pp_table
+        rows
+    | `Json ->
+      Finepar_telemetry.Json.to_channel oc (Tune_search.to_json ~params rows);
+      output_char oc '\n'
   in
   let classic ~name ~machine ~cores ~engine ~via =
     let e = find_entry name in
@@ -788,52 +802,55 @@ let fuzz_cmd =
        every fresh computation; this path does not re-run the other
        oracles (determinism, telemetry invariants) — the default replay
        does. *)
-    with_via via @@ fun ~exec ~counters ->
-    let files = Finepar_fuzz.Corpus.files dir in
-    let jobs =
-      List.map
-        (fun path ->
-          match Finepar_fuzz.Corpus.load_file path with
-          | entry ->
-            (path, Ok (case_job entry.Finepar_fuzz.Corpus.case))
-          | exception e -> (path, Error (Printexc.to_string e)))
-        files
-    in
-    let requests =
-      List.filter_map
-        (function
-          | _, Ok job -> Some (Wire.Run { job; engine })
-          | _, Error _ -> None)
-        jobs
-    in
-    let responses = ref (exec requests) in
-    let next_response () =
-      match !responses with
-      | r :: rest ->
-        responses := rest;
-        r
-      | [] -> Wire.Error "missing response"
-    in
-    let failed = ref 0 in
-    List.iter
-      (fun (path, job) ->
-        match job with
-        | Error msg ->
-          incr failed;
-          Fmt.pr "FAIL %s: unreadable reproducer: %s@." path msg
-        | Ok _ -> (
-          match next_response () with
-          | Wire.Run_result _ -> Fmt.pr "PASS %s@." path
-          | Wire.Error msg ->
+    let failed =
+      with_via via @@ fun exec ->
+      let files = Finepar_fuzz.Corpus.files dir in
+      let jobs =
+        List.map
+          (fun path ->
+            match Finepar_fuzz.Corpus.load_file path with
+            | entry ->
+              (path, Ok (case_job entry.Finepar_fuzz.Corpus.case))
+            | exception e -> (path, Error (Printexc.to_string e)))
+          files
+      in
+      let requests =
+        List.filter_map
+          (function
+            | _, Ok job -> Some (Wire.Run { job; engine })
+            | _, Error _ -> None)
+          jobs
+      in
+      let responses = ref (exec requests) in
+      let next_response () =
+        match !responses with
+        | r :: rest ->
+          responses := rest;
+          r
+        | [] -> Wire.Error "missing response"
+      in
+      let failed = ref 0 in
+      List.iter
+        (fun (path, job) ->
+          match job with
+          | Error msg ->
             incr failed;
-            Fmt.pr "FAIL %s: %s@." path msg
-          | _ ->
-            incr failed;
-            Fmt.pr "FAIL %s: unexpected response kind@." path))
-      jobs;
-    Fmt.pr "replayed %d reproducers, %d failing@." (List.length jobs) !failed;
-    pp_cache_counters (counters ());
-    if !failed > 0 then exit 1
+            Fmt.pr "FAIL %s: unreadable reproducer: %s@." path msg
+          | Ok _ -> (
+            match next_response () with
+            | Wire.Run_result _ -> Fmt.pr "PASS %s@." path
+            | Wire.Error msg ->
+              incr failed;
+              Fmt.pr "FAIL %s: %s@." path msg
+            | _ ->
+              incr failed;
+              Fmt.pr "FAIL %s: unexpected response kind@." path))
+        jobs;
+      Fmt.pr "replayed %d reproducers, %d failing@." (List.length jobs)
+        !failed;
+      !failed
+    in
+    if failed > 0 then exit 1
   in
   let run cases seconds seed out_dir summary replay via jobs engine trace_out
       profile =
@@ -1134,54 +1151,6 @@ let verify_cmd =
       $ cores_arg $ latency_arg $ queue_len_arg $ speculation_arg
       $ throughput_arg $ engine_arg $ trace_out_arg $ profile_arg)
 
-let profile_cmd =
-  let format_arg =
-    let doc = "Output format: text (profile tree + hot list) or json." in
-    Arg.(value & opt string "text" & info [ "format" ] ~doc)
-  in
-  let run name cores latency queue_len speculation throughput engine format
-      output trace_out =
-    let (r, _), tracer =
-      with_host_tracer @@ fun () ->
-      compile_and_sim ~name ~cores ~latency ~queue_len ~speculation
-        ~throughput ~tracing:false ~engine ()
-    in
-    let tree =
-      Finepar_telemetry.Profile_tree.of_spans
-        (Finepar_telemetry.Tracer.spans tracer)
-    in
-    Option.iter (write_chrome_trace tracer) trace_out;
-    match format with
-    | "text" ->
-      with_output output (fun oc ->
-          let ppf = Format.formatter_of_out_channel oc in
-          Fmt.pf ppf "kernel %s: %d cycles on %d cores (%s engine)@.@." name
-            r.Runner.cycles cores
-            (Finepar_machine.Engine.to_string engine);
-          Fmt.pf ppf "%a@."
-            (fun ppf t -> Finepar_telemetry.Profile_tree.pp ppf t)
-            tree)
-    | "json" ->
-      with_output output (fun oc ->
-          Finepar_telemetry.Json.to_channel oc
-            (Finepar_telemetry.Profile_tree.to_json tree);
-          output_char oc '\n')
-    | other ->
-      Fmt.epr "unknown format %s (expected text or json)@." other;
-      exit 1
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Compile and simulate one kernel under the host tracer and \
-          print where the host time went: a self-time/total-time span \
-          tree (compiler passes under their compile, the simulator run) \
-          plus the hottest spans")
-    Term.(
-      const run $ kernel_arg $ cores_arg $ latency_arg $ queue_len_arg
-      $ speculation_arg $ throughput_arg $ engine_arg $ format_arg
-      $ output_arg $ trace_out_arg)
-
 (* ------------------------------------------------------------------ *)
 (* The compile-and-simulate service. *)
 
@@ -1306,16 +1275,18 @@ let request_cmd =
              (fun () -> read_all ic)
          end)
     in
-    (* One session: the frame, then (for --stats) the counters over the
-       same store handle or the same connection. *)
+    (* One session: the frame, with (for --stats) the counters it moved
+       over the same store handle or the same connection. *)
     let pool = Finepar_exec.Pool.create ?domains:jobs () in
     match
       Svc_client.with_session ~pool via (fun session ->
-          let response = Svc_client.session_frame session payload in
+          let send () = Svc_client.session_frame session payload in
+          let response =
+            if stats then with_batch_counters session send else send ()
+          in
           with_output output (fun oc ->
               output_string oc response;
-              output_char oc '\n');
-          if stats then pp_cache_counters (Svc_client.session_counters session))
+              output_char oc '\n'))
     with
     | () -> ()
     | exception Failure msg ->
@@ -1367,7 +1338,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            list_cmd; run_cmd; verify_cmd; show_cmd; trace_cmd; report_cmd;
-            sweep_cmd; autotune_cmd; classify_cmd; fuzz_cmd; profile_cmd;
-            serve_cmd; request_cmd;
+            list_cmd; run_cmd; verify_cmd; show_cmd; report_cmd; sweep_cmd;
+            autotune_cmd; classify_cmd; fuzz_cmd; serve_cmd; request_cmd;
           ]))

@@ -83,16 +83,17 @@ let profile (evaluator : evaluator) job =
     (List.hd
        (evaluator [ { job with sequential = true; profile_counters = [] } ]))
 
-let speedup evaluator job =
+let fed evaluator job =
   let seq_cycles, profile_counters = profile evaluator job in
-  let par_cycles, _ =
-    get (List.hd (evaluator [ { job with profile_counters } ]))
-  in
+  (seq_cycles, { job with profile_counters })
+
+let speedup evaluator job =
+  let seq_cycles, job = fed evaluator job in
+  let par_cycles, _ = get (List.hd (evaluator [ job ])) in
   (seq_cycles, par_cycles, float_of_int seq_cycles /. float_of_int par_cycles)
 
 let measured_speedup ~engine evaluator job =
-  let seq_cycles, profile_counters = profile evaluator job in
-  let job = { job with profile_counters } in
+  let seq_cycles, job = fed evaluator job in
   match
     let c = compile job in
     (c, (run ~engine job c).Runner.cycles)
@@ -141,15 +142,13 @@ let compare_candidates (cy_a, (a : Compiler.config)) (cy_b, (b : Compiler.config
   | n -> n
 
 let autotune evaluator job =
-  let _, profile_counters = profile evaluator job in
+  let _, job = fed evaluator job in
   let candidates = autotune_candidates job.config in
   let measured =
     List.map2
       (fun (name, config) m -> (name, config, fst (get m)))
       candidates
-      (evaluator
-         (List.map (fun (_, config) -> { job with config; profile_counters })
-            candidates))
+      (evaluator (List.map (fun (_, config) -> { job with config }) candidates))
   in
   let best_name, _, best_cycles =
     List.fold_left

@@ -96,6 +96,14 @@ val profile : evaluator -> t -> int * (string * int * int) list
     parallel compile takes as [profile_counters].
     @raise Failed if the run errors. *)
 
+val fed : evaluator -> t -> int * t
+(** [fed ev job] is {!profile}, then [job] carrying that run's load
+    counters as [profile_counters]: the sequential cycles and the
+    profile-fed parallel job.  {!speedup}, {!measured_speedup} and
+    {!autotune} measure this job, and every single-kernel view of the
+    CLI explains it.
+    @raise Failed if the sequential run errors. *)
+
 val speedup : evaluator -> t -> int * int * float
 (** [speedup ev job] measures the sequential version of [job], then
     [job] itself carrying the sequential run's load counters as profile
