@@ -537,18 +537,9 @@ let parse_args args =
     profile = !profile;
   }
 
-let () =
-  let module Tracer = Finepar_telemetry.Tracer in
-  let opts = parse_args (List.tl (Array.to_list Sys.argv)) in
+(* The selected sections, the pool line and the --json document. *)
+let run_sections opts =
   let tracing = opts.trace_out <> None || opts.profile <> None in
-  let tracer =
-    if tracing then begin
-      let t = Tracer.create () in
-      Tracer.install t;
-      Some t
-    end
-    else None
-  in
   let pool = Pool.create ?domains:opts.jobs () in
   Fmt.epr "using %d domain(s); output is -j invariant@." (Pool.domains pool);
   let ctx = { pool = Some pool; collected = [] } in
@@ -559,16 +550,16 @@ let () =
   List.iter
     (fun (name, f) ->
       if opts.wanted = [] || List.exists (matches name) opts.wanted then
-        Tracer.with_span ~cat:"bench" ("bench:" ^ name) (fun () -> f ctx))
+        Finepar_telemetry.Tracer.with_span ~cat:"bench" ("bench:" ^ name)
+          (fun () -> f ctx))
     all_sections;
-  Tracer.uninstall ();
   let stats = Pool.stats pool in
   (* Scheduling-dependent, so stderr (the CI diffs stdout and the
      --json file across -j): the load-imbalance line the bench workflow
      scrapes into its job summary. *)
   Fmt.epr "%a@." Pool.pp_stats stats;
   let sections = J.Obj [ ("sections", J.Obj (List.rev ctx.collected)) ] in
-  (match opts.json_out with
+  match opts.json_out with
   | None -> ()
   | Some file ->
     let oc = open_out file in
@@ -586,35 +577,11 @@ let () =
       (fun () ->
         J.to_channel oc doc;
         output_char oc '\n');
-    Fmt.epr "metrics written to %s@." file);
-  (match tracer with
-  | None -> ()
-  | Some t ->
-    (match opts.trace_out with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          Finepar_telemetry.Chrome_trace.to_channel oc (Tracer.to_chrome t));
-      Fmt.epr "trace written to %s@." file);
-    match opts.profile with
-    | None -> ()
-    | Some dest ->
-      let tree = Finepar_telemetry.Profile_tree.of_spans (Tracer.spans t) in
-      if String.equal dest "-" then
-        Fmt.pr "@.%a@."
-          (fun ppf tr -> Finepar_telemetry.Profile_tree.pp ppf tr)
-          tree
-      else begin
-        let oc = open_out dest in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            J.to_channel oc (Finepar_telemetry.Profile_tree.to_json tree);
-            output_char oc '\n');
-        Fmt.epr "profile written to %s@." dest
-      end);
+    Fmt.epr "metrics written to %s@." file
+
+let () =
+  let opts = parse_args (List.tl (Array.to_list Sys.argv)) in
+  Finepar_telemetry.Host_trace.with_tracing ~trace_out:opts.trace_out
+    ~profile:opts.profile (fun () -> run_sections opts);
   rule ();
   print_endline "done."

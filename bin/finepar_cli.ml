@@ -3,12 +3,12 @@
    Subcommands:
      list       kernels and their Section IV classification
      run        compile one kernel and simulate it
-     verify     static queue-protocol verification (kernels, corpus, smoke)
+     verify     static queue-protocol verification (kernels, smoke)
      show       dump compiler stages for one kernel
      report     per-core / per-queue / per-fiber cycle attribution, or a
                 Chrome trace_event timeline (--format=chrome)
      sweep      transfer-latency sweep for one kernel
-     autotune   compile several code versions, keep the fastest
+     autotune   beam search over code versions, keep the fastest
      classify   the 51-loop characterization funnel
      fuzz       differential fuzzing with shrinking and a corpus
      serve      the compile-and-simulate service
@@ -214,7 +214,7 @@ let or_exit f =
 
 (* The evaluator behind every measuring subcommand: {!Job.direct}, or
    with --via the service evaluator over one session.  The protocol run
-   over it ({!Job.speedup}, {!Job.autotune}, the search) is the same code
+   over it ({!Job.speedup}, the autotuning search) is the same code
    either way, so stdout is the same bytes either way; a failed
    measurement exits 1 on both. *)
 let with_evaluator ?pool ~engine via f =
@@ -240,10 +240,18 @@ let case_job (case : Finepar_fuzz.Gen.case) =
     profile_counters = [];
   }
 
+(* A corpus directory with no reproducers is a mistyped path, not a
+   pass: every command that reads a corpus exits 1 on one. *)
+let require_corpus dir =
+  if Finepar_fuzz.Corpus.files dir = [] then begin
+    Fmt.epr "FAIL corpus %s: no reproducers found@." dir;
+    exit 1
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Unified host-side tracing: every heavyweight subcommand accepts the
-   same --trace-out/--profile pair.  With neither given no tracer is
-   installed and every span site stays a single atomic load. *)
+   same --trace-out/--profile pair, exported by
+   {!Finepar_telemetry.Host_trace.with_tracing}. *)
 
 let trace_out_arg =
   let doc =
@@ -264,57 +272,7 @@ let profile_arg =
     & opt ~vopt:(Some "-") (some string) None
     & info [ "profile" ] ~doc ~docv:"FILE")
 
-let write_chrome_trace tracer file =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Finepar_telemetry.Chrome_trace.to_channel oc
-        (Finepar_telemetry.Tracer.to_chrome tracer));
-  Fmt.epr "wrote %s@." file
-
-let emit_profile tracer dest =
-  let tree =
-    Finepar_telemetry.Profile_tree.of_spans
-      (Finepar_telemetry.Tracer.spans tracer)
-  in
-  if String.equal dest "-" then
-    Fmt.pr "@[%a@]@."
-      (fun ppf t -> Finepar_telemetry.Profile_tree.pp ppf t)
-      tree
-  else begin
-    let oc = open_out dest in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Finepar_telemetry.Json.to_channel oc
-          (Finepar_telemetry.Profile_tree.to_json tree);
-        output_char oc '\n');
-    Fmt.epr "wrote %s@." dest
-  end
-
-(* Run [f] under an installed tracer when either flag was given, then
-   export.  The export is also registered with [at_exit] (guarded to
-   run once) because failing subcommands leave through [exit 1], which
-   skips [Fun.protect] finalizers — a failing run still leaves its
-   trace behind. *)
-let with_tracing ~trace_out ~profile f =
-  match (trace_out, profile) with
-  | None, None -> f ()
-  | _ ->
-    let tracer = Finepar_telemetry.Tracer.create () in
-    Finepar_telemetry.Tracer.install tracer;
-    let exported = ref false in
-    let export () =
-      if not !exported then begin
-        exported := true;
-        Finepar_telemetry.Tracer.uninstall ();
-        Option.iter (write_chrome_trace tracer) trace_out;
-        Option.iter (emit_profile tracer) profile
-      end
-    in
-    at_exit export;
-    Fun.protect ~finally:export f
+let with_tracing = Finepar_telemetry.Host_trace.with_tracing
 
 let tracing_enabled ~trace_out ~profile =
   trace_out <> None || profile <> None
@@ -361,6 +319,20 @@ let run_cmd =
       const run $ kernel_arg $ cores_arg $ latency_arg $ queue_len_arg
       $ speculation_arg $ throughput_arg $ issue_width_arg $ comm_arg
       $ engine_arg $ trace_out_arg $ profile_arg)
+
+(* The earliest cycle among the events a traced run's ring retained (0
+   when it kept none). *)
+let first_retained_cycle sim =
+  match Finepar_machine.Sim.events sim with
+  | [] -> 0
+  | events ->
+    List.fold_left
+      (fun acc ev ->
+        match ev with
+        | Finepar_machine.Sim.Ev_issue { cycle; _ }
+        | Finepar_machine.Sim.Ev_stall { cycle; _ } ->
+          min acc cycle)
+      max_int events
 
 let show_cmd =
   let stage_arg =
@@ -420,16 +392,7 @@ let show_cmd =
       (* The trace ring keeps the most recent events; on long runs the
          start of the run is gone, so show the oldest window we have. *)
       let events = Finepar_machine.Sim.events sim in
-      let base =
-        List.fold_left
-          (fun acc ev ->
-            match ev with
-            | Finepar_machine.Sim.Ev_issue { cycle; _ }
-            | Finepar_machine.Sim.Ev_stall { cycle; _ } ->
-              min acc cycle)
-          max_int events
-      in
-      let base = if base = max_int then 0 else base in
+      let base = first_retained_cycle sim in
       let grid = Array.init cores_n (fun _ -> Bytes.make span '.') in
       List.iter
         (fun ev ->
@@ -523,9 +486,9 @@ let report_cmd =
     let dropped = Finepar_machine.Sim.dropped_events sim in
     if dropped > 0 then
       Fmt.epr
-        "warning: trace ring dropped %d early events; raise the capacity \
-         to keep them@."
-        dropped
+        "warning: trace ring dropped the run's first %d events; the trace \
+         covers cycle %d onward@."
+        dropped (first_retained_cycle sim)
   in
   (* The attribution of the fed job, in process or through the cache:
      the sequential run, then the fed parallel run.  The report is guest
@@ -612,19 +575,10 @@ module Tune_search = Finepar_tune.Search
 let autotune_cmd =
   let kernel_opt_arg =
     let doc =
-      "Kernel name (see `finepar list`).  Required without --search; \
-       with --search, restricts the search to that one target."
+      "Restrict the search to the one target of this name (a kernel from \
+       `finepar list`, a loop, or fuzz:<basename>)."
     in
     Arg.(value & opt (some string) None & info [ "k"; "kernel" ] ~doc)
-  in
-  let search_arg =
-    let doc =
-      "Generational beam search over merge algorithm, affinity weights, \
-       speculation/throughput, core count, queue length and transfer \
-       latency, instead of the fixed six-candidate list.  Output is \
-       byte-identical at every -j and cached-vs-fresh through --via."
-    in
-    Arg.(value & flag & info [ "search" ] ~doc)
   in
   let scope_arg =
     let doc =
@@ -632,7 +586,10 @@ let autotune_cmd =
        $(b,loops) (the 33 excluded characterization loops) or $(b,all) \
        (both)."
     in
-    Arg.(value & opt string "all" & info [ "scope" ] ~doc)
+    let scopes =
+      [ ("registry", `Registry); ("loops", `Loops); ("all", `All) ]
+    in
+    Arg.(value & opt (enum scopes) `All & info [ "scope" ] ~doc)
   in
   let fuzz_corpus_arg =
     let doc =
@@ -646,7 +603,10 @@ let autotune_cmd =
     Arg.(value & opt int 2 & info [ "beam" ] ~doc)
   in
   let generations_arg =
-    let doc = "Neighbor-expansion generations after the seed generation." in
+    let doc =
+      "Neighbor-expansion generations after the seed generation; 0 \
+       measures exactly the six classic code versions."
+    in
     Arg.(value & opt int 3 & info [ "generations" ] ~doc)
   in
   let budget_arg =
@@ -663,21 +623,29 @@ let autotune_cmd =
       & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
       & info [ "format" ] ~doc)
   in
-  let search ~name ~scope ~fuzz_corpus ~params ~engine ~via ~jobs ~format
-      ~output =
+  let run name scope fuzz_corpus beam generations budget format jobs cores
+      latency queue_len engine via trace_out profile output =
+    with_tracing ~trace_out ~profile @@ fun () ->
+    let params =
+      {
+        Tune_search.cores;
+        machine = machine_of ~latency ~queue_len ();
+        beam;
+        generations;
+        budget;
+      }
+    in
     let targets =
       (match scope with
-      | "registry" -> Tune_search.registry_targets ()
-      | "loops" -> Tune_search.corpus_targets ()
-      | "all" ->
-        Tune_search.registry_targets () @ Tune_search.corpus_targets ()
-      | other ->
-        Fmt.epr "unknown scope %s (expected registry, loops or all)@." other;
-        exit 1)
+      | `Registry -> Tune_search.registry_targets ()
+      | `Loops -> Tune_search.corpus_targets ()
+      | `All -> Tune_search.registry_targets () @ Tune_search.corpus_targets ())
       @
       match fuzz_corpus with
       | None -> []
-      | Some dir -> Tune_search.fuzz_targets ~dir
+      | Some dir ->
+        require_corpus dir;
+        Tune_search.fuzz_targets ~dir
     in
     let targets =
       match name with
@@ -689,7 +657,7 @@ let autotune_cmd =
             targets
         with
         | [] ->
-          Fmt.epr "no search target named %s in scope %s@." n scope;
+          Fmt.epr "no search target named %s in the selected --scope@." n;
           exit 1
         | ts -> ts)
     in
@@ -720,45 +688,19 @@ let autotune_cmd =
       Finepar_telemetry.Json.to_channel oc (Tune_search.to_json ~params rows);
       output_char oc '\n'
   in
-  let classic ~name ~machine ~cores ~engine ~via =
-    let e = find_entry name in
-    let tuned =
-      with_evaluator ~engine via @@ fun evaluator ->
-      Job.autotune evaluator
-        (Job.make
-           ~config:{ (Compiler.default_config ()) with Compiler.machine }
-           ~workload:e.Registry.workload ~cores e.Registry.kernel)
-    in
-    Fmt.pr "%a" Tune_search.pp_autotune tuned
-  in
-  let run name do_search scope fuzz_corpus beam generations budget format
-      jobs cores latency queue_len engine via trace_out profile output =
-    with_tracing ~trace_out ~profile @@ fun () ->
-    let machine = machine_of ~latency ~queue_len () in
-    if do_search then
-      let params =
-        { Tune_search.cores; machine; beam; generations; budget }
-      in
-      search ~name ~scope ~fuzz_corpus ~params ~engine ~via ~jobs ~format
-        ~output
-    else
-      match name with
-      | Some name -> classic ~name ~machine ~cores ~engine ~via
-      | None ->
-        Fmt.epr "pass -k KERNEL (or --search)@.";
-        exit 2
-  in
   Cmd.v
     (Cmd.info "autotune"
        ~doc:
          "Compile multiple code versions and keep the fastest (Section \
-          III-I); with --search, a generational beam search over the \
-          full configuration space across the kernel corpus")
+          III-I): a generational beam search over the configuration space \
+          across the kernel corpus, whose first generation is the six \
+          classic versions (sequential, baseline, speculation, throughput, \
+          both, multi-pair)")
     Term.(
-      const run $ kernel_opt_arg $ search_arg $ scope_arg $ fuzz_corpus_arg
-      $ beam_arg $ generations_arg $ budget_arg $ format_arg $ jobs_arg
-      $ cores_arg $ latency_arg $ queue_len_arg $ engine_arg $ via_arg
-      $ trace_out_arg $ profile_arg $ output_arg)
+      const run $ kernel_opt_arg $ scope_arg $ fuzz_corpus_arg $ beam_arg
+      $ generations_arg $ budget_arg $ format_arg $ jobs_arg $ cores_arg
+      $ latency_arg $ queue_len_arg $ engine_arg $ via_arg $ trace_out_arg
+      $ profile_arg $ output_arg)
 
 let fuzz_cmd =
   let cases_arg =
@@ -790,7 +732,7 @@ let fuzz_cmd =
   let replay_arg =
     let doc =
       "Replay every reproducer in this corpus directory instead of \
-       generating new cases."
+       generating new cases; a directory with none fails."
     in
     Arg.(value & opt (some string) None & info [ "replay" ] ~doc)
   in
@@ -852,32 +794,38 @@ let fuzz_cmd =
     in
     if failed > 0 then exit 1
   in
+  (* Direct replay: the full oracle set on each reproducer. *)
+  let replay_direct ~engine dir =
+    let replays = Finepar_fuzz.Corpus.replay_dir ~engine dir in
+    let failed = ref 0 in
+    List.iter
+      (fun (r : Finepar_fuzz.Corpus.replay) ->
+        match r.Finepar_fuzz.Corpus.outcome with
+        | Ok (Finepar_fuzz.Oracle.Pass _) ->
+          Fmt.pr "PASS %s@." r.Finepar_fuzz.Corpus.entry.Finepar_fuzz.Corpus.path
+        | Ok (Finepar_fuzz.Oracle.Fail f) ->
+          incr failed;
+          Fmt.pr "FAIL %s: %a@."
+            r.Finepar_fuzz.Corpus.entry.Finepar_fuzz.Corpus.path
+            Finepar_fuzz.Oracle.pp_failure f
+        | Error msg ->
+          incr failed;
+          Fmt.pr "FAIL %s: unreadable reproducer: %s@."
+            r.Finepar_fuzz.Corpus.entry.Finepar_fuzz.Corpus.path msg)
+      replays;
+    Fmt.pr "replayed %d reproducers, %d failing@." (List.length replays)
+      !failed;
+    if !failed > 0 then exit 1
+  in
   let run cases seconds seed out_dir summary replay via jobs engine trace_out
       profile =
     with_tracing ~trace_out ~profile @@ fun () ->
     match replay with
-    | Some dir when via <> None -> replay_via ~engine (Option.get via) dir
-    | Some dir ->
-      let replays = Finepar_fuzz.Corpus.replay_dir ~engine dir in
-      let failed = ref 0 in
-      List.iter
-        (fun (r : Finepar_fuzz.Corpus.replay) ->
-          match r.Finepar_fuzz.Corpus.outcome with
-          | Ok (Finepar_fuzz.Oracle.Pass _) ->
-            Fmt.pr "PASS %s@." r.Finepar_fuzz.Corpus.entry.Finepar_fuzz.Corpus.path
-          | Ok (Finepar_fuzz.Oracle.Fail f) ->
-            incr failed;
-            Fmt.pr "FAIL %s: %a@."
-              r.Finepar_fuzz.Corpus.entry.Finepar_fuzz.Corpus.path
-              Finepar_fuzz.Oracle.pp_failure f
-          | Error msg ->
-            incr failed;
-            Fmt.pr "FAIL %s: unreadable reproducer: %s@."
-              r.Finepar_fuzz.Corpus.entry.Finepar_fuzz.Corpus.path msg)
-        replays;
-      Fmt.pr "replayed %d reproducers, %d failing@." (List.length replays)
-        !failed;
-      if !failed > 0 then exit 1
+    | Some dir -> (
+      require_corpus dir;
+      match via with
+      | Some via -> replay_via ~engine via dir
+      | None -> replay_direct ~engine dir)
     | None ->
       if via <> None then
         Fmt.epr "--via only applies to --replay; running a direct campaign@.";
@@ -962,13 +910,6 @@ let verify_cmd =
     let doc = "Verify every registry kernel at 1, 2 and 4 cores." in
     Arg.(value & flag & info [ "all" ] ~doc)
   in
-  let corpus_arg =
-    let doc =
-      "Compile and verify every fuzz reproducer in this corpus \
-       directory, each under its own recorded configuration."
-    in
-    Arg.(value & opt (some string) None & info [ "corpus" ] ~doc)
-  in
   let smoke_arg =
     let doc =
       "Mutation smoke test: apply each comm-corruption rule to every \
@@ -1018,36 +959,6 @@ let verify_cmd =
           config e.Registry.kernel)
       [ 1; 2; 4 ]
   in
-  let verify_corpus ~engine dir =
-    let files = Finepar_fuzz.Corpus.files dir in
-    if files = [] then begin
-      incr failed;
-      Fmt.pr "FAIL corpus %s: no reproducers found@." dir
-    end;
-    List.iter
-      (fun path ->
-        match Finepar_fuzz.Corpus.load_file path with
-        | entry ->
-          let case = entry.Finepar_fuzz.Corpus.case in
-          verify_kernel path case.Finepar_fuzz.Gen.config
-            case.Finepar_fuzz.Gen.kernel;
-          (* Dynamic cross-check: the reproducer must still pass the
-             full oracle set under the selected simulation engine. *)
-          (match Finepar_fuzz.Oracle.check ~engine case with
-          | Finepar_fuzz.Oracle.Pass _ ->
-            Fmt.pr "OK   %-28s dynamic replay (%s engine)@." path
-              (Finepar_machine.Engine.to_string engine)
-          | Finepar_fuzz.Oracle.Fail f ->
-            incr failed;
-            Fmt.pr "FAIL %s: dynamic replay (%s engine): %a@." path
-              (Finepar_machine.Engine.to_string engine)
-              Finepar_fuzz.Oracle.pp_failure f)
-        | exception e ->
-          incr failed;
-          Fmt.pr "FAIL %s: unreadable reproducer: %s@." path
-            (Printexc.to_string e))
-      files
-  in
   let mutation_smoke ~latency ~queue_len () =
     (* Single-core compiles have no queues, so probe at 2 and 4 cores.
        Every rule must find at least one applicable site, and the
@@ -1093,8 +1004,8 @@ let verify_cmd =
             (Fmt.str "smoke %s" name) !caught !applied)
       [ Mutate.Drop_dequeue; Mutate.Swap_endpoints; Mutate.Reorder_enqueue ]
   in
-  let run kernel all corpus smoke cores latency queue_len speculation
-      throughput engine trace_out profile =
+  let run kernel all smoke cores latency queue_len speculation throughput
+      trace_out profile =
     with_tracing ~trace_out ~profile @@ fun () ->
     failed := 0;
     let selected = ref false in
@@ -1120,17 +1031,12 @@ let verify_cmd =
             e.Registry.kernel.Finepar_ir.Kernel.name)
         Registry.all
     end;
-    (match corpus with
-    | Some dir ->
-      selected := true;
-      verify_corpus ~engine dir
-    | None -> ());
     if smoke then begin
       selected := true;
       mutation_smoke ~latency ~queue_len ()
     end;
     if not !selected then begin
-      Fmt.epr "nothing to verify: pass -k, --all, --corpus or --mutation-smoke@.";
+      Fmt.epr "nothing to verify: pass -k, --all or --mutation-smoke@.";
       exit 2
     end;
     if !failed > 0 then begin
@@ -1144,12 +1050,13 @@ let verify_cmd =
        ~doc:
          "Static queue-protocol verification: per-queue balance and \
           typing, endpoint agreement, capacity-bounded deadlock \
-          freedom, and plan conformance — over kernels, a fuzz corpus, \
-          or deliberately corrupted programs (--mutation-smoke)")
+          freedom, and plan conformance — over registry kernels, or \
+          deliberately corrupted programs (--mutation-smoke); `fuzz \
+          --replay` verifies a fuzz corpus")
     Term.(
-      const run $ kernel_opt_arg $ all_arg $ corpus_arg $ smoke_arg
-      $ cores_arg $ latency_arg $ queue_len_arg $ speculation_arg
-      $ throughput_arg $ engine_arg $ trace_out_arg $ profile_arg)
+      const run $ kernel_opt_arg $ all_arg $ smoke_arg $ cores_arg
+      $ latency_arg $ queue_len_arg $ speculation_arg $ throughput_arg
+      $ trace_out_arg $ profile_arg)
 
 (* ------------------------------------------------------------------ *)
 (* The compile-and-simulate service. *)
@@ -1244,6 +1151,7 @@ let request_cmd =
       match corpus with
       | None -> []
       | Some dir ->
+        require_corpus dir;
         List.map
           (fun path ->
             let entry = Finepar_fuzz.Corpus.load_file path in

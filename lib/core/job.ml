@@ -100,63 +100,3 @@ let measured_speedup ~engine evaluator job =
   with
   | c, par_cycles -> (seq_cycles, c, par_cycles)
   | exception e -> raise (Failed (Printexc.to_string e))
-
-let autotune_candidates (base : Compiler.config) =
-  [
-    ("sequential", { base with Compiler.cores = 1 });
-    ("baseline", base);
-    ("speculation", { base with Compiler.speculation = true });
-    ("throughput", { base with Compiler.throughput = true });
-    ("speculation+throughput",
-     { base with Compiler.speculation = true; throughput = true });
-    ("multi-pair", { base with Compiler.algorithm = `Multi_pair });
-  ]
-
-(* The preference key behind {!compare_candidates}: cheaper configurations
-   first, so a cycle tie resolves to the simplest machine.  Every knob that
-   distinguishes candidates appears here; any configs equal under this key
-   are observationally identical to the search. *)
-let config_preference (c : Compiler.config) =
-  let alg = match c.Compiler.algorithm with `Greedy -> 0 | `Multi_pair -> 1 in
-  let comm =
-    match c.Compiler.comm_mode with
-    | Finepar_transform.Comm.Queues -> 0
-    | Finepar_transform.Comm.Shared_cache -> 1
-  in
-  let w = c.Compiler.weights in
-  ( c.Compiler.cores,
-    (Bool.to_int c.Compiler.speculation, Bool.to_int c.Compiler.throughput, alg),
-    ( c.Compiler.machine.Config.transfer_latency,
-      c.Compiler.machine.Config.queue_len,
-      c.Compiler.machine.Config.issue_width,
-      comm ),
-    ( (w.Finepar_partition.Affinity.w_dep,
-       w.Finepar_partition.Affinity.w_time,
-       w.Finepar_partition.Affinity.w_prox),
-      c.Compiler.max_height,
-      c.Compiler.max_queue_pairs ) )
-
-let compare_candidates (cy_a, (a : Compiler.config)) (cy_b, (b : Compiler.config)) =
-  match compare (cy_a : int) cy_b with
-  | 0 -> compare (config_preference a) (config_preference b)
-  | n -> n
-
-let autotune evaluator job =
-  let _, job = fed evaluator job in
-  let candidates = autotune_candidates job.config in
-  let measured =
-    List.map2
-      (fun (name, config) m -> (name, config, fst (get m)))
-      candidates
-      (evaluator (List.map (fun (_, config) -> { job with config }) candidates))
-  in
-  let best_name, _, best_cycles =
-    List.fold_left
-      (fun (bn, bc, bcy) (n, c, cy) ->
-        (* Strict [< 0]: ties keep the earlier candidate, so the winner is
-           independent of how a parallel search happened to interleave. *)
-        if compare_candidates (cy, c) (bcy, bc) < 0 then (n, c, cy)
-        else (bn, bc, bcy))
-      (List.hd measured) (List.tl measured)
-  in
-  (best_name, best_cycles, List.map (fun (n, _, cy) -> (n, cy)) measured)

@@ -11,8 +11,9 @@
 
     An {!evaluator} measures a batch of jobs.  {!direct} computes in
     process; the service evaluator ([Finepar_tune.Service_eval]) sends
-    the same jobs through the content-addressed result cache.  The two
-    protocols, {!speedup} and {!autotune}, run over either. *)
+    the same jobs through the content-addressed result cache.  The
+    protocols below, and the autotuning search ([Finepar_tune.Search]),
+    run over either. *)
 
 (** SMT thread placement: which physical core each hardware thread of a
     compiled program runs on. *)
@@ -99,9 +100,9 @@ val profile : evaluator -> t -> int * (string * int * int) list
 val fed : evaluator -> t -> int * t
 (** [fed ev job] is {!profile}, then [job] carrying that run's load
     counters as [profile_counters]: the sequential cycles and the
-    profile-fed parallel job.  {!speedup}, {!measured_speedup} and
-    {!autotune} measure this job, and every single-kernel view of the
-    CLI explains it.
+    profile-fed parallel job.  {!speedup} and {!measured_speedup}
+    measure this job, and every single-kernel view of the CLI explains
+    it.
     @raise Failed if the sequential run errors. *)
 
 val speedup : evaluator -> t -> int * int * float
@@ -121,30 +122,3 @@ val measured_speedup :
     cycles (run in process under [engine]).  The cycles are the ones
     {!speedup} measures.
     @raise Failed if either run errors. *)
-
-val autotune_candidates : Compiler.config -> (string * Compiler.config) list
-(** The fixed candidate enumeration behind {!autotune} — sequential,
-    baseline, speculation, throughput, their combination, and multi-pair
-    merge, all derived from [base].  The search's generation 0 starts
-    from the same list. *)
-
-val compare_candidates :
-  int * Compiler.config -> int * Compiler.config -> int
-(** Deterministic candidate ordering: fewer cycles first, then the
-    simpler configuration — fewer cores; speculation off before on;
-    throughput off before on; [`Greedy] before [`Multi_pair]; lower
-    transfer latency; shorter queues; then the remaining knobs (weights,
-    max height, max queue pairs).  Candidates that still compare equal
-    are observationally identical, and selection keeps the earlier one —
-    so a parallel search merge reproduces the same winner at any [-j]. *)
-
-val autotune : evaluator -> t -> string * int * (string * int) list
-(** Multi-version compilation with dynamic feedback.  Section III-I
-    (limitation 1): the compiler "can generate multiple code versions
-    for regions with potential, and rely on a runtime system with
-    dynamic feedback to decide which code version to execute".
-    [autotune ev job] measures the sequential version of [job], then
-    {!autotune_candidates} of [job.config] as one batch carrying its
-    load counters, and keeps the fastest under {!compare_candidates}.
-    Returns [(best name, best cycles, (candidate, cycles) list)].
-    @raise Failed if any run errors. *)

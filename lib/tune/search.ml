@@ -73,6 +73,49 @@ let default_params =
 
 let direct = Job.direct
 
+(* ------------------------------------------------------------------ *)
+(* Candidates and their order.                                          *)
+
+let autotune_candidates (base : Compiler.config) =
+  [
+    ("sequential", { base with Compiler.cores = 1 });
+    ("baseline", base);
+    ("speculation", { base with Compiler.speculation = true });
+    ("throughput", { base with Compiler.throughput = true });
+    ("speculation+throughput",
+     { base with Compiler.speculation = true; throughput = true });
+    ("multi-pair", { base with Compiler.algorithm = `Multi_pair });
+  ]
+
+(* The preference key behind {!compare_candidates}: cheaper configurations
+   first, so a cycle tie resolves to the simplest machine.  Every knob that
+   distinguishes candidates appears here; any configs equal under this key
+   are observationally identical to the search. *)
+let config_preference (c : Compiler.config) =
+  let alg = match c.Compiler.algorithm with `Greedy -> 0 | `Multi_pair -> 1 in
+  let comm =
+    match c.Compiler.comm_mode with
+    | Finepar_transform.Comm.Queues -> 0
+    | Finepar_transform.Comm.Shared_cache -> 1
+  in
+  let w = c.Compiler.weights in
+  ( c.Compiler.cores,
+    (Bool.to_int c.Compiler.speculation, Bool.to_int c.Compiler.throughput, alg),
+    ( c.Compiler.machine.Config.transfer_latency,
+      c.Compiler.machine.Config.queue_len,
+      c.Compiler.machine.Config.issue_width,
+      comm ),
+    ( (w.Finepar_partition.Affinity.w_dep,
+       w.Finepar_partition.Affinity.w_time,
+       w.Finepar_partition.Affinity.w_prox),
+      c.Compiler.max_height,
+      c.Compiler.max_queue_pairs ) )
+
+let compare_candidates (cy_a, (a : Compiler.config)) (cy_b, (b : Compiler.config)) =
+  match compare (cy_a : int) cy_b with
+  | 0 -> compare (config_preference a) (config_preference b)
+  | n -> n
+
 type best = { b_desc : string; b_config : Compiler.config; b_cycles : int }
 
 type row = {
@@ -134,11 +177,9 @@ let best_of (st : tstate) =
       match acc with
       | None -> Some { b_desc = desc; b_config = config; b_cycles = cycles }
       | Some b ->
-        (* Strict [< 0]: ties keep the earlier evaluation, matching
-           Job.autotune's selection. *)
-        if
-          Job.compare_candidates (cycles, config) (b.b_cycles, b.b_config)
-          < 0
+        (* Strict [< 0]: ties keep the earlier evaluation, so the winner
+           is independent of how a parallel batch happened to interleave. *)
+        if compare_candidates (cycles, config) (b.b_cycles, b.b_config) < 0
         then Some { b_desc = desc; b_config = config; b_cycles = cycles }
         else Some b)
     None
@@ -177,14 +218,14 @@ let run (p : params) (evaluator : Job.evaluator) targets =
       (List.map (fun st -> job_of st ~sequential:true base_config) states)
   in
   List.iter2 (fun st m -> st.st_seq <- m) states seq_measures;
-  (* Generation 0 seeds: the shared fixed-candidate list, reordered so
+  (* Generation 0 seeds: the six classic code versions, reordered so
      the heuristic pick ("baseline") survives any budget. *)
   List.iter
     (fun st ->
       match st.st_seq with
       | Error msg -> st.st_heuristic <- Error msg
       | Ok _ ->
-        let cands = Job.autotune_candidates base_config in
+        let cands = autotune_candidates base_config in
         let baseline, rest =
           List.partition (fun (n, _) -> String.equal n "baseline") cands
         in
@@ -230,7 +271,7 @@ let run (p : params) (evaluator : Job.evaluator) targets =
             let ranked =
               List.stable_sort
                 (fun (_, ca, cya) (_, cb, cyb) ->
-                  Job.compare_candidates (cya, ca) (cyb, cb))
+                  compare_candidates (cya, ca) (cyb, cb))
                 (List.rev st.st_results)
             in
             let elites = take p.beam ranked in
@@ -354,14 +395,3 @@ let to_json ~(params : params) rows =
         J.Int (List.fold_left (fun a r -> a + r.r_evaluated) 0 rows) );
       ("kernels", J.List (List.map row_json rows));
     ]
-
-let pp_autotune ppf (best_name, best_cycles, candidates) =
-  Fmt.pf ppf "%-24s %10s@." "configuration" "cycles";
-  List.iter
-    (fun (n, cy) ->
-      Fmt.pf ppf "%-24s %10d%s@." n cy
-        (if String.equal n best_name then "  <- best" else ""))
-    candidates;
-  let seq = List.assoc "sequential" candidates in
-  Fmt.pf ppf "@.best: %s (speedup %.2f over sequential)@." best_name
-    (float_of_int seq /. float_of_int best_cycles)

@@ -1,5 +1,12 @@
 (** Deterministic generational (beam) autotuning search over the
-    {!Space} knobs, fanned out across a kernel corpus.
+    {!Space} knobs, fanned out across a kernel corpus: the paper's
+    multiple code versions with dynamic feedback (Section III-I,
+    limitation 1), where the compiler "can generate multiple code
+    versions for regions with potential, and rely on a runtime system
+    with dynamic feedback to decide which code version to execute".
+    Generation 0 measures six classic versions — sequential, baseline,
+    speculation, throughput, their combination, and multi-pair merge;
+    later generations expand the best ones.
 
     One search runs in lockstep generations across every target: each
     generation's candidate set — for all targets together — is one flat
@@ -8,11 +15,11 @@
     the direct path fans the batch out over {!Finepar_exec.Pool}.
 
     Determinism contract: candidate enumeration, deduplication, elite
-    selection ({!Finepar.Job.compare_candidates}, stable on
-    evaluation order) and result folding all depend only on evaluator
-    results in batch order — never on timing — so the rendered table
-    and JSON are byte-identical at [-j1] and [-jN], and cached vs.
-    fresh through a store. *)
+    selection ({!compare_candidates}, stable on evaluation order) and
+    result folding all depend only on evaluator results in batch order
+    — never on timing — so the rendered table and JSON are
+    byte-identical at [-j1] and [-jN], and cached vs. fresh through a
+    store. *)
 
 (** One kernel the search tunes. *)
 type target = {
@@ -37,10 +44,9 @@ val fuzz_targets : dir:string -> target list
 
 (** Search parameters.  [budget] bounds candidate evaluations per
     target (the sequential reference is not counted); [generations]
-    bounds neighbor-expansion rounds after generation 0 (the
-    {!Finepar.Job.autotune_candidates} seed, heuristic pick first so
-    it survives any budget); [beam] is the elite count expanded each
-    round. *)
+    bounds neighbor-expansion rounds after generation 0 (the six
+    classic versions, heuristic pick first so it survives any budget);
+    [beam] is the elite count expanded each round. *)
 type params = {
   cores : int;
   machine : Finepar_machine.Config.t;
@@ -51,6 +57,16 @@ type params = {
 
 val default_params : params
 (** 4 cores, default machine, beam 2, 3 generations, budget 40. *)
+
+val compare_candidates :
+  int * Finepar.Compiler.config -> int * Finepar.Compiler.config -> int
+(** Deterministic candidate ordering: fewer cycles first, then the
+    simpler configuration — fewer cores; speculation off before on;
+    throughput off before on; [`Greedy] before [`Multi_pair]; lower
+    transfer latency; shorter queues; then the remaining knobs (weights,
+    max height, max queue pairs).  Candidates that still compare equal
+    are observationally identical, and selection keeps the earlier one —
+    so a parallel search merge reproduces the same winner at any [-j]. *)
 
 val direct :
   ?pool:Finepar_exec.Pool.t ->
@@ -78,8 +94,8 @@ type row = {
 }
 
 val run : params -> Finepar.Job.evaluator -> target list -> row list
-(** The search proper.  Generation 0 is the shared
-    {!Finepar.Job.autotune_candidates} list (baseline first); each
+(** The search proper.  Generation 0 is the six classic versions of
+    the base configuration that [params] sets (baseline first); each
     later generation expands the [beam] best rows' {!Space.neighbors},
     deduplicated against everything already evaluated, truncated to the
     remaining budget.  Targets whose sequential reference fails get an
@@ -100,9 +116,3 @@ val pp_table : Format.formatter -> row list -> unit
 val to_json : params:params -> row list -> Finepar_telemetry.Json.t
 (** Deterministic JSON rendering of the same data, plus the search
     parameters and total evaluation count. *)
-
-val pp_autotune :
-  Format.formatter -> string * int * (string * int) list -> unit
-(** The classic fixed-candidate autotune table
-    [(best name, best cycles, (candidate, cycles) list)], as
-    {!Finepar.Job.autotune} returns it. *)

@@ -2,8 +2,8 @@
     [--via=store:DIR|socket:PATH] evaluator.  It differs from
     {!Finepar.Job.direct} only in where a job is computed — the server
     answers a miss with {!Finepar.Job.compile} and {!Finepar.Job.run} —
-    so {!Finepar.Job.speedup}, {!Finepar.Job.autotune} and {!Search.run}
-    print the same bytes over either. *)
+    so {!Finepar.Job.speedup} and {!Search.run} print the same bytes
+    over either. *)
 
 type exec = Finepar_service.Wire.request list -> Finepar_service.Wire.response list
 (** One batch round-trip, e.g. [Finepar_service.Client.session_exec]

@@ -104,29 +104,39 @@ let test_queue_limit_zero () =
 (* ------------------------------------------------------------------ *)
 (* Autotuning (Section III-I: multiple code versions + feedback).      *)
 
-let autotune (e : Registry.entry) =
-  Finepar.Job.autotune
-    (Finepar.Job.direct ~engine:Finepar_machine.Engine.default ())
-    (Finepar.Job.make ~workload:e.Registry.workload ~cores:4 e.Registry.kernel)
+module Search = Finepar_tune.Search
+
+(* The search's generation 0 on one registry kernel: the six classic
+   code versions. *)
+let autotune name =
+  let target =
+    List.find
+      (fun (t : Search.target) -> String.equal t.Search.t_name name)
+      (Search.registry_targets ())
+  in
+  List.hd
+    (Search.run
+       { Search.default_params with Search.generations = 0 }
+       (Search.direct ~engine:Finepar_machine.Engine.default ())
+       [ target ])
 
 let test_autotune_picks_minimum () =
-  let e = Option.get (Registry.find "lammps-1") in
-  let _, best_cycles, candidates = autotune e in
-  List.iter
-    (fun (n, cy) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "best <= %s" n)
-        true
-        (best_cycles <= cy))
-    candidates;
-  Alcotest.(check int) "six candidates" 6 (List.length candidates)
+  let row = autotune "lammps-1" in
+  Alcotest.(check int) "six candidates" 6 row.Search.r_evaluated;
+  Alcotest.(check int) "one generation" 1 row.Search.r_generations;
+  match (row.Search.r_best, row.Search.r_heuristic) with
+  | Some best, Ok heuristic ->
+    Alcotest.(check bool)
+      "best <= heuristic" true
+      (best.Search.b_cycles <= heuristic)
+  | _ -> Alcotest.fail "no best or no heuristic measure"
 
 let test_autotune_slowdown_kernel_goes_sequential () =
   (* umt2k-6 loses from fine-grained parallelization; the tuner must keep
      the sequential version. *)
-  let e = Option.get (Registry.find "umt2k-6") in
-  let best_name, _, _ = autotune e in
-  Alcotest.(check string) "sequential wins" "sequential" best_name
+  let row = autotune "umt2k-6" in
+  Alcotest.(check (option string)) "sequential wins" (Some "sequential")
+    (Option.map (fun (b : Search.best) -> b.Search.b_desc) row.Search.r_best)
 
 (* ------------------------------------------------------------------ *)
 (* Scaling.                                                            *)

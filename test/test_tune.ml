@@ -4,7 +4,7 @@
    - tie-breaking follows the documented preference order (fewer
      cycles, then fewer cores, then the simpler config) and is stable;
    - the direct and store evaluators give identical measures (errors
-     included), so Job.speedup and Job.autotune agree over both;
+     included), so Job.speedup agrees over both;
    - Job.make keeps the machine of the config it is given;
    - the search is byte-identical at -j1 and -j4, and cached vs. fresh
      through a store (with a 100% warm hit rate);
@@ -52,7 +52,7 @@ let small_params =
 
 let test_tie_break_order () =
   let base = Compiler.default_config ~cores:4 () in
-  let cmp a b = Job.compare_candidates a b in
+  let cmp a b = Search.compare_candidates a b in
   (* Fewer cycles dominates everything. *)
   Alcotest.(check bool)
     "fewer cycles wins" true
@@ -140,7 +140,8 @@ let test_evaluators_agree () =
       in
       Alcotest.(check (list measure)) "store measures = direct measures"
         measures (via jobs);
-      (* The two protocols over either evaluator. *)
+      (* The speedup protocol over either evaluator (the search's
+         agreement is test_search_cached_equals_fresh). *)
       List.iter
         (fun name ->
           let e = Option.get (Registry.find name) in
@@ -149,10 +150,7 @@ let test_evaluators_agree () =
           in
           Alcotest.(check (triple int int (float 0.)))
             (name ^ ": speedup") (Job.speedup direct job)
-            (Job.speedup via job);
-          Alcotest.(check (triple string int (list (pair string int))))
-            (name ^ ": autotune") (Job.autotune direct job)
-            (Job.autotune via job))
+            (Job.speedup via job))
         [ "lammps-1"; "umt2k-6" ])
 
 (* A job's machine has one home, [config.machine]: [Job.make ~config]
